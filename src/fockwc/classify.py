@@ -30,15 +30,24 @@ def _passes(residuals: dict, tol: float) -> bool:
     return max(residuals.values()) <= tol
 
 
+def _real_symmetry_residuals(S: WcSymbol) -> tuple[dict, dict]:
+    """Residuals of real and of skew-real symmetry, which share the
+    conditions Q Hermitian and ell = q and differ in theta."""
+    shared = {
+        "Q_hermitian": op_norm(S.Q - adj(S.Q)),
+        "ell_minus_q": float(np.linalg.norm(S.ell - S.q)),
+    }
+    return (
+        {**shared, "theta_imag": abs(S.theta.imag)},
+        {**shared, "theta_real": abs(S.theta.real)},
+    )
+
+
 def check_real_symmetric(
     S: WcSymbol, tol: float = DEFAULT_TOL
 ) -> tuple[bool, dict]:
     """Real symmetry (C = C*): Q Hermitian, ell = q, theta real."""
-    residuals = {
-        "Q_hermitian": op_norm(S.Q - adj(S.Q)),
-        "ell_minus_q": float(np.linalg.norm(S.ell - S.q)),
-        "theta_imag": abs(S.theta.imag),
-    }
+    residuals = _real_symmetry_residuals(S)[0]
     return _passes(residuals, tol), residuals
 
 
@@ -46,11 +55,7 @@ def check_skew_real_symmetric(
     S: WcSymbol, tol: float = DEFAULT_TOL
 ) -> tuple[bool, dict]:
     """Skew-real symmetry (C = -C*): as real symmetry with theta imaginary."""
-    residuals = {
-        "Q_hermitian": op_norm(S.Q - adj(S.Q)),
-        "ell_minus_q": float(np.linalg.norm(S.ell - S.q)),
-        "theta_real": abs(S.theta.real),
-    }
+    residuals = _real_symmetry_residuals(S)[1]
     return _passes(residuals, tol), residuals
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import classify as _classify
 from . import conjugation as _conj
+from . import jsonio
 from . import oracle as _oracle
 from . import semigroup as _sg
 from . import symbols as _sym
@@ -42,12 +43,10 @@ def _load_json(path: str):
 
 
 def _load_points(path: str):
-    obj = _load_json(path)
-    if not isinstance(obj, dict) or "points" not in obj:
-        raise ValueError("points JSON must be an object with a 'points' list")
-    from . import jsonio
-
-    return [jsonio.vector_from_json(p, "point") for p in obj["points"]]
+    (points,) = jsonio.read_fields(
+        _load_json(path), "points", points=lambda ps: [jsonio.vector_from_json(p) for p in ps]
+    )
+    return points
 
 
 def _verdict(residuals: dict, tol: float) -> str:

@@ -30,10 +30,10 @@ from .linalg import (
     as_matrix,
     as_scalar,
     as_vector,
+    freeze,
     herm_eig,
     normal_eig,
     op_norm,
-    pairing,
 )
 from .symbols import ScaledKernel, WcSymbol, adjoint_symbol
 
@@ -43,6 +43,7 @@ __all__ = [
     "validate",
     "require_valid",
     "apply_to_kernel",
+    "apply_to_kernels",
     "conjugate_by_J",
     "j_adjoint_symbol",
     "find_conjugation_real_symmetric",
@@ -60,13 +61,7 @@ class ConjugationParams:
 
     def __post_init__(self):
         A = as_matrix(self.A, name="A")
-        b = as_vector(self.b, A.shape[0], "b")
-        c = as_scalar(self.c, "c")
-        A.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        freeze(self, A=A, b=as_vector(self.b, A.shape[0], "b"), c=as_scalar(self.c, "c"))
 
     @property
     def dim(self) -> int:
@@ -82,15 +77,11 @@ class ConjugationParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConjugationParams":
-        if not isinstance(obj, dict):
-            raise ValueError("conjugation JSON must be an object")
-        try:
-            A = jsonio.matrix_from_json(obj["A"], "A")
-            b = jsonio.vector_from_json(obj["b"], "b")
-            c = jsonio.complex_from_json(obj["c"], "c")
-        except KeyError as exc:
-            raise ValueError(f"conjugation JSON is missing field {exc}") from exc
-        if "d" in obj and int(obj["d"]) != b.size:
+        A, b, c, d = jsonio.read_fields(
+            obj, "conjugation", defaults={"d": None}, A=jsonio.matrix_from_json,
+            b=jsonio.vector_from_json, c=jsonio.complex_from_json, d=int,
+        )
+        if d is not None and d != b.size:
             raise ValueError("conjugation JSON has inconsistent dimension")
         return cls(A, b, c)
 
@@ -129,12 +120,22 @@ def require_valid(J: ConjugationParams, tol: float = 1e-9) -> None:
         )
 
 
+def apply_to_kernels(J: ConjugationParams, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J K_{w_i} = c e^{expo_i} K_{points_i} for the rows w_i of ``W``:
+    the exponents expo_i = <b, conj(w_i)> and the rows
+    points_i = A* conj(w_i) + conj(b).  Unlike ``apply_to_kernel`` this does
+    not validate J, and overflow gives non-finite entries without a
+    warning; callers check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return W @ J.b, np.conj(W) @ np.conj(J.A) + np.conj(J.b)
+
+
 def apply_to_kernel(J: ConjugationParams, w) -> ScaledKernel:
     """Image of K_w under J: c e^{<b, conj(w)>} K_{A* conj(w) + conj(b)}."""
     require_valid(J)
     w = as_vector(w, J.dim, "w")
-    coeff = J.c * complex(np.exp(pairing(J.b, np.conj(w))))
-    return ScaledKernel(coeff, adj(J.A) @ np.conj(w) + np.conj(J.b))
+    expo, points = apply_to_kernels(J, w[None, :])
+    return ScaledKernel(J.c * complex(np.exp(expo[0])), points[0])
 
 
 def conjugate_by_J(S: WcSymbol, J: ConjugationParams) -> WcSymbol:
@@ -238,11 +239,9 @@ def find_conjugation_real_symmetric(
     entries of u take phase 0, so the construction is deterministic.
     Raises ``NotApplicableError`` outside the (skew-)real-symmetric class.
     """
-    from .classify import check_real_symmetric, check_skew_real_symmetric
+    from .classify import _passes, _real_symmetry_residuals
 
-    ok_real, _ = check_real_symmetric(S, tol)
-    ok_skew, _ = check_skew_real_symmetric(S, tol)
-    if not (ok_real or ok_skew):
+    if not any(_passes(r, tol) for r in _real_symmetry_residuals(S)):
         raise NotApplicableError(
             "operator is not (skew-)real symmetric; no construction applies"
         )

@@ -7,9 +7,12 @@ files round-trip bit-identically and diff cleanly.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = [
+    "read_fields",
     "complex_to_json",
     "complex_from_json",
     "vector_to_json",
@@ -24,9 +27,35 @@ def complex_to_json(z) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def read_fields(obj, kind: str, defaults=None, **decoders) -> list:
+    """Decode the fields of a JSON object, in keyword order.
+
+    ``name=decode`` yields ``decode(obj[name])``, or ``defaults[name]`` when
+    the field is absent and has a default.  A non-object, a missing field,
+    or a ``KeyError``, ``TypeError``, ``IndexError`` or ``ValueError`` from
+    a decoder raises one ``ValueError`` naming ``kind`` and the field.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{kind} JSON must be an object")
+    defaults = defaults or {}
+    values = []
+    for name, decode in decoders.items():
+        if name not in obj and name not in defaults:
+            raise ValueError(f"{kind} JSON is missing field {name!r}")
+        try:
+            values.append(decode(obj[name]) if name in obj else defaults[name])
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            raise ValueError(f"{kind} JSON field {name!r}: {exc}") from exc
+    return values
+
+
 def complex_from_json(obj, name: str = "complex") -> complex:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise ValueError(f"{name} must be a [re, im] pair, got {obj!r}")
+    if not (
+        isinstance(obj, (list, tuple))
+        and len(obj) == 2
+        and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in obj)
+    ):
+        raise ValueError(f"{name} must be a [re, im] pair of numbers, got {obj!r}")
     return complex(float(obj[0]), float(obj[1]))
 
 

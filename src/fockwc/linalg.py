@@ -32,10 +32,12 @@ __all__ = [
     "as_scalar",
     "as_vector",
     "as_matrix",
+    "freeze",
     "pairing",
     "adj",
     "op_norm",
     "expm",
+    "expm_phi12",
     "phi1",
     "phi2",
     "phi12",
@@ -87,6 +89,14 @@ def as_matrix(M, dim: int | None = None, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def freeze(instance, **fields) -> None:
+    """Store validated fields on a frozen dataclass, with arrays read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(instance, name, value)
 
 
 def pairing(u, v) -> complex:
@@ -151,12 +161,12 @@ def expm(M, tol: float = 1e-14) -> np.ndarray:
     return acc
 
 
-def phi12(M, tol: float = 1e-14) -> tuple[np.ndarray, np.ndarray]:
-    """Both phi-functions at once via the augmented-matrix identity.
+def expm_phi12(M, tol: float = 1e-14) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """expm(M), phi1(M) and phi2(M) from one augmented exponential.
 
     exp of the block matrix [[M, I, 0], [0, 0, I], [0, 0, 0]] carries
-    phi1(M) and phi2(M) in its first block row, which avoids any inverse
-    of ``M`` and therefore works for singular input.
+    expm(M), phi1(M) and phi2(M) in its first block row, which avoids any
+    inverse of ``M`` and therefore works for singular input.
     """
     M = as_matrix(M)
     d = M.shape[0]
@@ -164,7 +174,12 @@ def phi12(M, tol: float = 1e-14) -> tuple[np.ndarray, np.ndarray]:
     zero = np.zeros((d, d), dtype=np.complex128)
     W = np.block([[M, eye, zero], [zero, zero, eye], [zero, zero, zero]])
     E = expm(W, tol)
-    return E[:d, d:2 * d].copy(), E[:d, 2 * d:].copy()
+    return E[:d, :d].copy(), E[:d, d:2 * d].copy(), E[:d, 2 * d:].copy()
+
+
+def phi12(M, tol: float = 1e-14) -> tuple[np.ndarray, np.ndarray]:
+    """Both phi-functions at once, from one augmented exponential."""
+    return expm_phi12(M, tol)[1:]
 
 
 def phi1(M, tol: float = 1e-14) -> np.ndarray:

@@ -2,11 +2,15 @@
 
 Engine one works on finite spans of reproducing kernels, where every inner
 product is exact scalar arithmetic through the reproducing property
-``<K_w, K_z> = e^{<z, w>}``.  Engine two builds finite sections of the
-operators on the orthonormal monomial basis ``e_alpha = z^alpha/sqrt(alpha!)``
-up to a total degree, by purely combinatorial series expansion (never
-quadrature).  Closed-form identities elsewhere in the package are validated
-against both.
+``<K_w, K_z> = e^{<z, w>}``.  C_S and J map kernels to scaled kernels in
+closed form, so each kernel-span quantity is one Gram matrix exp(E) of an
+exponent matrix E.  The defects are ratios: both sides share one shift
+e^{-c} that keeps every entry at most 1, so they stay finite wherever E is,
+far past |<q, w>| = 709 where e^{<q, w>} alone overflows.  Engine two
+builds finite sections of the operators on the orthonormal monomial basis
+``e_alpha = z^alpha/sqrt(alpha!)`` up to a total degree, by purely
+combinatorial series expansion (never quadrature).  Closed-form identities
+elsewhere in the package are validated against both.
 
 Truncated sections exploit the factorization C = (multiply by psi) o
 (compose with phi): composition is degree non-increasing, so the truncated
@@ -21,11 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugation import ConjugationParams, apply_to_kernel, require_valid
+from . import jsonio
+from .conjugation import ConjugationParams, apply_to_kernel, apply_to_kernels, require_valid
 from .errors import DegreeCapError, PreconditionError
-from .linalg import as_vector, op_norm, pairing
+from .linalg import as_vector, op_norm
 from .polynomials import MPoly, mi_factorial, multi_indices
-from .symbols import ScaledKernel, WcSymbol, act_on_kernel, adjoint_symbol
+from .symbols import ScaledKernel, WcSymbol, act_on_kernel, act_on_kernels, adjoint_symbol
 
 __all__ = [
     "MAX_TRUNC_DEGREE",
@@ -94,12 +99,19 @@ class KernelCombo:
     def __sub__(self, other: "KernelCombo") -> "KernelCombo":
         return self + other.scale(-1.0)
 
+    @property
+    def coeffs(self) -> np.ndarray:
+        return np.array([t.coeff for t in self.terms], dtype=np.complex128)
+
+    @property
+    def points(self) -> np.ndarray:
+        """Kernel points as the rows of an (m, d) array."""
+        return np.array([t.point for t in self.terms]).reshape(-1, self.dim)
+
     def __call__(self, x) -> complex:
         return complex(sum(t(x) for t in self.terms))
 
     def to_json(self) -> dict:
-        from . import jsonio
-
         return {
             "d": self.dim,
             "terms": [
@@ -113,19 +125,26 @@ class KernelCombo:
 
     @classmethod
     def from_json(cls, obj: dict) -> "KernelCombo":
-        from . import jsonio
-
-        if not isinstance(obj, dict) or "d" not in obj:
-            raise ValueError("kernel combo JSON must be an object with 'd'")
-        d = int(obj["d"])
-        terms = [
-            ScaledKernel(
-                jsonio.complex_from_json(t["coeff"], "coeff"),
-                jsonio.vector_from_json(t["point"], "point"),
-            )
-            for t in obj.get("terms", [])
-        ]
+        d, terms = jsonio.read_fields(
+            obj, "kernel combo", defaults={"terms": []}, d=int, terms=_kernel_terms_from_json
+        )
         return cls(d, tuple(terms))
+
+
+def _kernel_terms_from_json(terms) -> list[ScaledKernel]:
+    fields = dict(coeff=jsonio.complex_from_json, point=jsonio.vector_from_json)
+    return [ScaledKernel(*jsonio.read_fields(t, "kernel term", **fields)) for t in terms]
+
+
+def _log_gram(a, X, b, Y) -> np.ndarray:
+    """E with exp(E) the Gram matrix of e^{a_i} K_{X_i} against e^{b_j} K_{Y_j}:
+    E[i, j] = a_i + conj(b_j) + <Y_j, X_i>.  ``ValueError`` unless E is finite,
+    which also catches every non-finite image point or exponent."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = np.conj(X) @ Y.T + np.reshape(a, (-1, 1)) + np.conj(np.reshape(b, (1, -1)))
+    if not np.isfinite(E).all():
+        raise ValueError("kernel Gram exponent is not finite")
+    return E
 
 
 def inner(F: KernelCombo, G: KernelCombo) -> complex:
@@ -135,15 +154,8 @@ def inner(F: KernelCombo, G: KernelCombo) -> complex:
     """
     if F.dim != G.dim:
         raise ValueError("kernel combo dimensions differ")
-    total = 0.0 + 0.0j
-    for ti in F.terms:
-        for tj in G.terms:
-            total += (
-                ti.coeff
-                * np.conj(tj.coeff)
-                * np.exp(pairing(tj.point, ti.point))
-            )
-    return complex(total)
+    gram = np.exp(_log_gram(0.0, F.points, 0.0, G.points))
+    return complex(F.coeffs @ gram @ np.conj(G.coeffs))
 
 
 def combo_norm(F: KernelCombo) -> float:
@@ -173,11 +185,32 @@ def apply_conjugation(J: ConjugationParams, F: KernelCombo) -> KernelCombo:
     return KernelCombo(F.dim, tuple(out))
 
 
-def _check_points(points, dim: int) -> list[np.ndarray]:
+def _stack_points(points, dim: int) -> np.ndarray:
     pts = [as_vector(p, dim, "point") for p in points]
     if len(pts) < 2:
         raise ValueError("need at least two kernel points")
-    return pts
+    return np.array(pts)
+
+
+def _relative_defect(lhs_coeff, EL, rhs_coeff, ER) -> float:
+    """max|lhs - rhs| / (1 + max|lhs|) for lhs = lhs_coeff exp(EL) and
+    rhs = rhs_coeff exp(ER), evaluated as max|lhs' - rhs'| / (e^{-c} + max|lhs'|)
+    on the sides times e^{-c}, c = max(0, max Re E + log|coeff|) over both.
+    No entry then exceeds 1, so exponents past exp's overflow (709) are fine.
+    """
+    c = max(
+        0.0,
+        float(EL.real.max()) + math.log(abs(lhs_coeff)),
+        float(ER.real.max()) + math.log(abs(rhs_coeff)),
+    )
+    lhs = lhs_coeff * np.exp(EL - c)
+    rhs = rhs_coeff * np.exp(ER - c)
+    worst = float(np.max(np.abs(lhs - rhs)))
+    denom = math.exp(-c) + float(np.max(np.abs(lhs)))
+    ratio = worst / denom if denom > 0 else math.inf
+    if not math.isfinite(ratio):
+        raise ValueError("kernel defect is not finite")
+    return ratio
 
 
 def pairing_defect(S: WcSymbol, T: WcSymbol, points) -> float:
@@ -189,19 +222,13 @@ def pairing_defect(S: WcSymbol, T: WcSymbol, points) -> float:
     """
     if S.dim != T.dim:
         raise ValueError("symbol dimensions differ")
-    pts = _check_points(points, S.dim)
-    imgs_S = [act_on_kernel(S, z) for z in pts]
-    imgs_T = [act_on_kernel(T, z) for z in pts]
-    worst = 0.0
-    scale = 1.0
-    for i, ai in enumerate(imgs_S):
-        for j, z in enumerate(pts):
-            lhs = ai.coeff * np.exp(pairing(z, ai.point))
-            aj = imgs_T[j]
-            rhs = np.conj(aj.coeff) * np.exp(pairing(aj.point, pts[i]))
-            worst = max(worst, abs(lhs - rhs))
-            scale = max(scale, 1.0 + abs(lhs))
-    return worst / scale
+    Z = _stack_points(points, S.dim)
+    a_S, P_S = act_on_kernels(S, Z)
+    a_T, P_T = act_on_kernels(T, Z)
+    return _relative_defect(
+        S.theta, _log_gram(a_S, P_S, 0.0, Z),
+        np.conj(T.theta), _log_gram(0.0, Z, a_T, P_T),
+    )
 
 
 def adjoint_defect(S: WcSymbol, points) -> float:
@@ -218,21 +245,12 @@ def j_symmetry_defect(S: WcSymbol, J: ConjugationParams, points) -> float:
     require_valid(J)
     if S.dim != J.dim:
         raise ValueError("symbol and conjugation dimensions differ")
-    pts = _check_points(points, S.dim)
-    imgs = [act_on_kernel(S, z) for z in pts]
-    conj_imgs = [apply_to_kernel(J, z) for z in pts]
-    m = len(pts)
-    B = np.zeros((m, m), dtype=np.complex128)
-    for i in range(m):
-        for j in range(m):
-            kj = conj_imgs[j]
-            B[i, j] = (
-                imgs[i].coeff
-                * np.conj(kj.coeff)
-                * np.exp(pairing(kj.point, imgs[i].point))
-            )
-    scale = 1.0 + float(np.max(np.abs(B)))
-    return float(np.max(np.abs(B - B.T))) / scale
+    Z = _stack_points(points, S.dim)
+    a_S, P_S = act_on_kernels(S, Z)
+    a_J, P_J = apply_to_kernels(J, Z)
+    E = _log_gram(a_S, P_S, a_J, P_J)
+    coeff = S.theta * np.conj(J.c)
+    return _relative_defect(coeff, E, coeff, E.T)
 
 
 # --- truncated section engine ------------------------------------------------
@@ -349,19 +367,11 @@ class TruncOp:
 
 
 @dataclass(frozen=True)
-class AntilinearTruncOp:
+class AntilinearTruncOp(TruncOp):
     """Finite section of an antilinear operator: v -> matrix @ conj(v)."""
 
-    dim: int
-    degree: int
-    matrix: np.ndarray
-
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.conj(np.asarray(v, dtype=np.complex128))
-
-    @property
-    def indices(self) -> list[tuple[int, ...]]:
-        return list(_tables(self.dim, self.degree).indices)
+        return super().apply(np.conj(np.asarray(v, dtype=np.complex128)))
 
 
 def trunc_symbol_matrix(S: WcSymbol, N: int) -> TruncOp:

@@ -148,15 +148,18 @@ class MPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MPoly":
-        if not isinstance(obj, dict) or "d" not in obj:
-            raise ValueError("polynomial JSON must be an object with 'd'")
-        d = int(obj["d"])
+        d, terms = jsonio.read_fields(
+            obj, "polynomial", defaults={"terms": []}, d=int, terms=_poly_terms_from_json
+        )
         coeffs: dict[tuple[int, ...], complex] = {}
-        for term in obj.get("terms", []):
-            alpha = tuple(int(a) for a in term["alpha"])
-            c = jsonio.complex_from_json(term["coeff"], "coeff")
+        for alpha, c in terms:
             coeffs[alpha] = coeffs.get(alpha, 0.0) + c
         return cls(d, coeffs)
+
+
+def _poly_terms_from_json(terms) -> list:
+    fields = dict(alpha=lambda a: tuple(map(int, a)), coeff=jsonio.complex_from_json)
+    return [jsonio.read_fields(t, "polynomial term", **fields) for t in terms]
 
 
 def _graded_key(item):

@@ -29,7 +29,9 @@ import numpy as np
 
 from . import jsonio
 from .conjugation import ConjugationParams, require_valid
-from .linalg import adj, as_matrix, as_scalar, as_vector, expm, op_norm, pairing, phi12
+from .linalg import adj, as_matrix, as_scalar, as_vector, expm_phi12, freeze, op_norm, pairing
+# unused here, but kept as module attributes that benchmarks/tracing.py wraps
+from .linalg import expm, phi12  # noqa: F401
 from .oracle import poly_coeff_vector, trunc_symbol_matrix, _tables
 from .polynomials import MPoly
 from .symbols import WcSymbol, act_on_kernel, compose, identity_symbol, symbol_distance, symbols_equal
@@ -57,15 +59,13 @@ class SemigroupParams:
     def __post_init__(self):
         Omega = as_matrix(self.Omega, name="Omega")
         d = Omega.shape[0]
-        q_star = as_vector(self.q_star, d, "q_star")
-        ell_star = as_vector(self.ell_star, d, "ell_star")
-        theta_star = as_scalar(self.theta_star, "theta_star")
-        for arr in (Omega, q_star, ell_star):
-            arr.flags.writeable = False
-        object.__setattr__(self, "Omega", Omega)
-        object.__setattr__(self, "q_star", q_star)
-        object.__setattr__(self, "ell_star", ell_star)
-        object.__setattr__(self, "theta_star", theta_star)
+        freeze(
+            self,
+            Omega=Omega,
+            q_star=as_vector(self.q_star, d, "q_star"),
+            ell_star=as_vector(self.ell_star, d, "ell_star"),
+            theta_star=as_scalar(self.theta_star, "theta_star"),
+        )
 
     @property
     def dim(self) -> int:
@@ -82,18 +82,13 @@ class SemigroupParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SemigroupParams":
-        if not isinstance(obj, dict):
-            raise ValueError("semigroup JSON must be an object")
-        try:
-            P = cls(
-                jsonio.matrix_from_json(obj["Omega"], "Omega"),
-                jsonio.vector_from_json(obj["q_star"], "q_star"),
-                jsonio.vector_from_json(obj["ell_star"], "ell_star"),
-                jsonio.complex_from_json(obj["theta_star"], "theta_star"),
-            )
-        except KeyError as exc:
-            raise ValueError(f"semigroup JSON is missing field {exc}") from exc
-        if "d" in obj and int(obj["d"]) != P.dim:
+        *fields, d = jsonio.read_fields(
+            obj, "semigroup", defaults={"d": None}, Omega=jsonio.matrix_from_json,
+            q_star=jsonio.vector_from_json, ell_star=jsonio.vector_from_json,
+            theta_star=jsonio.complex_from_json, d=int,
+        )
+        P = cls(*fields)
+        if d is not None and d != P.dim:
             raise ValueError("semigroup JSON has inconsistent dimension")
         return P
 
@@ -101,9 +96,12 @@ class SemigroupParams:
 def symbol_at(P: SemigroupParams, t: float, tol: float = 1e-13) -> WcSymbol:
     """The symbol (theta_t, l_t, Q_t, q_t) of the semigroup at time t >= 0.
 
-    t = 0 returns the identity symbol exactly.  l_t uses the adjoint of
-    phi1(t Omega), which equals phi1(t Omega*) identically (real series
-    coefficients) and keeps the two coefficient paths numerically in step.
+    t = 0 returns the identity symbol exactly.  Q_t, phi1 and phi2 come
+    from one augmented exponential; Q_t is its top-left block, not
+    I + t Omega phi1(t Omega), which cancels when e^{t Omega} is small.
+    l_t uses the adjoint of phi1(t Omega), which equals phi1(t Omega*)
+    identically (real series coefficients) and keeps the two coefficient
+    paths numerically in step.
     """
     t = float(t)
     if t < 0:
@@ -112,9 +110,7 @@ def symbol_at(P: SemigroupParams, t: float, tol: float = 1e-13) -> WcSymbol:
         raise ValueError("time must be finite")
     if t == 0.0:
         return identity_symbol(P.dim)
-    tOmega = t * P.Omega
-    Q_t = expm(tOmega, tol)
-    p1, p2 = phi12(tOmega, tol)
+    Q_t, p1, p2 = expm_phi12(t * P.Omega, tol)
     q_t = t * (p1 @ P.q_star)
     ell_t = t * (adj(p1) @ P.ell_star)
     theta_t = np.exp(
@@ -172,13 +168,9 @@ def check_laws(
     S_t = symbol_at(P, t)
     S_s = symbol_at(P, s)
     S_ts = symbol_at(P, t + s)
-    defect = max(
-        symbol_distance(compose(S_t, S_s), S_ts),
-        symbol_distance(compose(S_s, S_t), S_ts),
-    )
-    ok = symbols_equal(compose(S_t, S_s), S_ts, tol) and symbols_equal(
-        compose(S_s, S_t), S_ts, tol
-    )
+    products = (compose(S_t, S_s), compose(S_s, S_t))
+    defect = max(symbol_distance(C, S_ts) for C in products)
+    ok = all(symbols_equal(C, S_ts, tol) for C in products)
     return ok, defect
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import PreconditionError
-from .linalg import adj, as_matrix, as_scalar, as_vector, is_unitary, pairing
+from .linalg import adj, as_matrix, as_scalar, as_vector, freeze, is_unitary, pairing
 
 __all__ = [
     "ScaledKernel",
@@ -32,6 +32,7 @@ __all__ = [
     "identity_symbol",
     "evaluate",
     "act_on_kernel",
+    "act_on_kernels",
     "compose",
     "adjoint_symbol",
     "negate_theta",
@@ -52,10 +53,8 @@ class ScaledKernel:
     point: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", as_scalar(self.coeff, "coeff"))
-        pt = as_vector(self.point, name="point")
-        pt.flags.writeable = False
-        object.__setattr__(self, "point", pt)
+        coeff = as_scalar(self.coeff, "coeff")
+        freeze(self, coeff=coeff, point=as_vector(self.point, name="point"))
 
     @property
     def dim(self) -> int:
@@ -86,14 +85,8 @@ class WcSymbol:
             raise ValueError("theta must be nonzero")
         ell = as_vector(self.ell, name="ell")
         d = ell.size
-        Q = as_matrix(self.Q, d, "Q")
-        q = as_vector(self.q, d, "q")
-        for arr in (ell, Q, q):
-            arr.flags.writeable = False
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "q", q)
+        Q, q = as_matrix(self.Q, d, "Q"), as_vector(self.q, d, "q")
+        freeze(self, theta=theta, ell=ell, Q=Q, q=q)
 
     @property
     def dim(self) -> int:
@@ -110,16 +103,10 @@ class WcSymbol:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WcSymbol":
-        if not isinstance(obj, dict):
-            raise ValueError("symbol JSON must be an object")
-        try:
-            d = int(obj["d"])
-            theta = jsonio.complex_from_json(obj["theta"], "theta")
-            ell = jsonio.vector_from_json(obj["ell"], "ell")
-            Q = jsonio.matrix_from_json(obj["Q"], "Q")
-            q = jsonio.vector_from_json(obj["q"], "q")
-        except KeyError as exc:
-            raise ValueError(f"symbol JSON is missing field {exc}") from exc
+        d, theta, ell, Q, q = jsonio.read_fields(
+            obj, "symbol", d=int, theta=jsonio.complex_from_json,
+            ell=jsonio.vector_from_json, Q=jsonio.matrix_from_json, q=jsonio.vector_from_json,
+        )
         if ell.size != d:
             raise ValueError("symbol JSON has inconsistent dimension")
         return cls(theta, ell, Q, q)
@@ -139,11 +126,19 @@ def evaluate(S: WcSymbol, z) -> tuple[complex, np.ndarray]:
     return psi, S.Q @ z + S.q
 
 
+def act_on_kernels(S: WcSymbol, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C_S K_{w_i} = theta e^{expo_i} K_{points_i} for the rows w_i of ``W``:
+    the exponents expo_i = <q, w_i> and the rows points_i = Q* w_i + ell.
+    Overflow gives non-finite entries without a warning; callers check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.conj(W) @ S.q, W @ np.conj(S.Q) + S.ell
+
+
 def act_on_kernel(S: WcSymbol, w) -> ScaledKernel:
     """Image of K_w under C_S: theta e^{<q, w>} K_{Q* w + ell}."""
     w = as_vector(w, S.dim, "w")
-    coeff = S.theta * complex(np.exp(pairing(S.q, w)))
-    return ScaledKernel(coeff, adj(S.Q) @ w + S.ell)
+    expo, points = act_on_kernels(S, w[None, :])
+    return ScaledKernel(S.theta * complex(np.exp(expo[0])), points[0])
 
 
 def compose(S1: WcSymbol, S2: WcSymbol) -> WcSymbol:

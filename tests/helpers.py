@@ -179,3 +179,51 @@ def combo_termwise_dev(F, G):
         dev = abs(a.coeff - b.coeff) + float(np.linalg.norm(a.point - b.point))
         worst = max(worst, dev / scale)
     return worst
+
+
+def ref_pairing_defect(S, T, points):
+    """Plain per-pair pairing defect: max|lhs - rhs| / (1 + max|lhs|) with
+    lhs = <C_S K_zi, K_zj> and rhs = <K_zi, C_T K_zj>, one exp per factor."""
+
+    def image(X, z):  # C_X K_z = theta e^{<q, z>} K_{Q* z + ell}
+        return X.theta * np.exp(np.vdot(z, X.q)), adj(X.Q) @ z + X.ell
+
+    pts = [np.asarray(z, dtype=complex) for z in points]
+    worst, scale = 0.0, 1.0
+    for zi in pts:
+        a, p = image(S, zi)
+        for zj in pts:
+            b, r = image(T, zj)
+            lhs = a * np.exp(np.vdot(p, zj))
+            rhs = np.conj(b) * np.exp(np.vdot(zi, r))
+            worst = max(worst, abs(lhs - rhs))
+            scale = max(scale, 1.0 + abs(lhs))
+    return worst / scale
+
+
+def ref_j_symmetry_defect(S, J, points):
+    """Plain per-pair J-symmetry defect: B_ij = <C_S K_zi, J K_zj> and
+    max|B - B^t| / (1 + max|B|)."""
+    pts = [np.asarray(z, dtype=complex) for z in points]
+    m = len(pts)
+    B = np.zeros((m, m), dtype=complex)
+    for i, zi in enumerate(pts):
+        a = S.theta * np.exp(np.vdot(zi, S.q))
+        p = adj(S.Q) @ zi + S.ell
+        for j, zj in enumerate(pts):
+            # J K_z = c e^{<b, conj z>} K_{A* conj z + conj b}
+            k = J.c * np.exp(np.dot(J.b, zj))
+            u = adj(J.A) @ np.conj(zj) + np.conj(J.b)
+            B[i, j] = a * np.conj(k) * np.exp(np.vdot(p, u))
+    return float(np.max(np.abs(B - B.T))) / (1.0 + float(np.max(np.abs(B))))
+
+
+def large_scale_symbol(rng, d, scale=300.0, radius=3.0):
+    """Real-symmetric symbol with ||ell|| = ||q|| = scale, plus kernel points
+    that include two of length about radius along q, so |<q, w>| reaches
+    scale * radius (900 by default, past exp's overflow at 709)."""
+    S = rand_real_symmetric_symbol(rng, d)
+    q = S.q / np.linalg.norm(S.q) * scale
+    unit = q / scale
+    pts = [unit * radius, unit * radius * 0.9] + rand_points(rng, d, 4, radius=1.0)
+    return WcSymbol(S.theta, q, S.Q, q), pts

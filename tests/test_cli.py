@@ -1,10 +1,16 @@
 import json
 
 import numpy as np
+import pytest
 
 from fockwc import WcSymbol, adjoint_symbol, symbol_distance
 from fockwc.cli import run
-from helpers import rand_j_semigroup_pair, rand_symbol, rand_valid_conjugation
+from helpers import (
+    large_scale_symbol,
+    rand_j_semigroup_pair,
+    rand_symbol,
+    rand_valid_conjugation,
+)
 
 
 def write(tmp_path, name, obj):
@@ -225,6 +231,61 @@ def test_oracle_defect_command(tmp_path, capsys):
     assert code in (0, 1)
     assert doc["residuals"]["adjoint_defect"] <= 1e-9
     assert "j_symmetry_defect" in doc["residuals"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_oracle_defect_past_exp_overflow(tmp_path, capsys):
+    from fockwc import find_conjugation_real_symmetric
+    from fockwc.jsonio import vector_to_json
+
+    S, pts = large_scale_symbol(np.random.default_rng(95), 2)
+    J = find_conjugation_real_symmetric(S)
+    spath = write(tmp_path, "S.json", S.to_json())
+    jpath = write(tmp_path, "J.json", J.to_json())
+    ppath = write(tmp_path, "pts.json", {"d": 2, "points": [vector_to_json(p) for p in pts]})
+    code, out, _ = invoke(
+        capsys,
+        ["oracle-defect", "--in", spath, "--conj", jpath, "--points", ppath],
+    )
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    doc = json.loads(out, parse_constant=reject)
+    assert code == 0 and doc["verdict"] == "true"
+    assert max(doc["residuals"].values()) <= 1e-9
+
+
+def _symbol_with(**fields):
+    return dict(WcSymbol(2.0, [0.5], [[0.3]], [0.5]).to_json(), **fields)
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        ("classify", {"in": _symbol_with(theta=[["x"], 0])}),
+        ("classify", {"in": _symbol_with(d=[])}),
+        (
+            "generator-apply",
+            {
+                "in": {
+                    "Omega": [[[0.5, 0.0]]],
+                    "q_star": [[0.1, 0.0]],
+                    "ell_star": [[0.2, 0.0]],
+                    "theta_star": [0.0, 0.0],
+                },
+                "poly": {"d": 1, "terms": [{"coeff": [1.0, 0.0]}]},
+            },
+        ),
+    ],
+    ids=["non-numeric-theta", "list-dimension", "term-without-alpha"],
+)
+def test_malformed_fields_exit_2(tmp_path, capsys, command, files):
+    argv = [command]
+    for flag, obj in files.items():
+        argv += [f"--{flag}", write(tmp_path, f"{flag}.json", obj)]
+    code, out, err = invoke(capsys, argv)
+    assert code == 2 and out == "" and "error:" in err
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

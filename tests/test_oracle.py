@@ -16,6 +16,7 @@ from fockwc import (
     compose,
     cross_check,
     exp_tail,
+    find_conjugation_real_symmetric,
     identity_conjugation,
     identity_symbol,
     inner,
@@ -32,12 +33,15 @@ from fockwc.polynomials import MPoly
 from helpers import (
     combo_termwise_dev,
     crandn,
+    large_scale_symbol,
     rand_j_selfadjoint_pair,
     rand_kernel_combo,
     rand_points,
     rand_symbol,
     rand_unitary,
     rand_valid_conjugation,
+    ref_j_symmetry_defect,
+    ref_pairing_defect,
 )
 
 
@@ -141,6 +145,55 @@ def test_j_symmetry_defect_cases():
     assert j_symmetry_defect(S, J2, pts2) <= 1e-9
     bad = WcSymbol(S.theta, S.ell + 0.1, S.Q, S.q)
     assert j_symmetry_defect(bad, J2, pts2) > 1e-3
+
+
+def test_defects_match_per_pair_reference():
+    # near-zero inputs (true adjoint, J-selfadjoint pair) and sensitivity
+    # inputs (ell perturbed) against the plain per-pair formulas, which pins
+    # the 1 + max|lhs| scale of both defects
+    rng = np.random.default_rng(61)
+    for _ in range(25):
+        d = int(rng.integers(1, 5))
+        pts = rand_points(rng, d, 6, radius=1.0)
+        S = rand_symbol(rng, d)
+        wrong = adjoint_symbol(WcSymbol(S.theta, S.ell + 0.1, S.Q, S.q))
+        S2, J = rand_j_selfadjoint_pair(rng, d)
+        bad = WcSymbol(S2.theta, S2.ell + 0.1, S2.Q, S2.q)
+        cases = [
+            (pairing_defect, ref_pairing_defect, S, adjoint_symbol(S), False),
+            (pairing_defect, ref_pairing_defect, S, wrong, True),
+            (j_symmetry_defect, ref_j_symmetry_defect, S2, J, False),
+            (j_symmetry_defect, ref_j_symmetry_defect, bad, J, True),
+        ]
+        for defect, reference, X, Y, sensitive in cases:
+            got, want = defect(X, Y, pts), reference(X, Y, pts)
+            assert (want > 1e-3) if sensitive else (want < 1e-12)
+            assert abs(got - want) <= 1e-12 * want + 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_defects_finite_past_exp_overflow(d):
+    # ||ell|| = ||q|| = 300 and |<q, w>| = 900: e^{<q, w>} overflows, the
+    # relative defects do not
+    S, pts = large_scale_symbol(np.random.default_rng(62 + d), d)
+    assert abs(pairing(S.q, pts[0])) > 709
+    J = find_conjugation_real_symmetric(S)
+    for value in (adjoint_defect(S, pts), j_symmetry_defect(S, J, pts)):
+        assert math.isfinite(value) and value <= 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_kernel_image_raises():
+    pts = [[1e308], [0.0]]
+    S = WcSymbol(1.0, [0.0], [[10.0]], [0.0])  # image point 1e309
+    with pytest.raises(ValueError):
+        adjoint_defect(S, pts)
+    with pytest.raises(ValueError):
+        j_symmetry_defect(S, identity_conjugation(1), pts)
+    S = WcSymbol(1.0, [0.0], [[1.0]], [10.0])  # exponent <q, w> = 1e309
+    with pytest.raises(ValueError):
+        adjoint_defect(S, pts)
 
 
 def test_trunc_symbol_matrix_identity():
