@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .conjugation import ConjugationParams, require_valid
-from .linalg import adj, op_norm
+from .linalg import adj, op_norm, residuals_within
 from .symbols import WcSymbol
 
 __all__ = [
@@ -24,10 +24,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-
-
-def _passes(residuals: dict, tol: float) -> bool:
-    return max(residuals.values()) <= tol
 
 
 def _real_symmetry_residuals(S: WcSymbol) -> tuple[dict, dict]:
@@ -48,7 +44,7 @@ def check_real_symmetric(
 ) -> tuple[bool, dict]:
     """Real symmetry (C = C*): Q Hermitian, ell = q, theta real."""
     residuals = _real_symmetry_residuals(S)[0]
-    return _passes(residuals, tol), residuals
+    return residuals_within(residuals, tol), residuals
 
 
 def check_skew_real_symmetric(
@@ -56,7 +52,7 @@ def check_skew_real_symmetric(
 ) -> tuple[bool, dict]:
     """Skew-real symmetry (C = -C*): as real symmetry with theta imaginary."""
     residuals = _real_symmetry_residuals(S)[1]
-    return _passes(residuals, tol), residuals
+    return residuals_within(residuals, tol), residuals
 
 
 def check_J_selfadjoint(
@@ -73,7 +69,7 @@ def check_J_selfadjoint(
         "AQ_symmetric": op_norm(AQ.T - AQ),
         "ell_formula": float(np.linalg.norm(S.ell - target)),
     }
-    return _passes(residuals, tol), residuals
+    return residuals_within(residuals, tol), residuals
 
 
 def check_normal_bounded(
@@ -92,7 +88,7 @@ def check_normal_bounded(
             float(np.linalg.norm(S.ell)) - float(np.linalg.norm(S.q))
         ),
     }
-    return _passes(residuals, tol), residuals
+    return residuals_within(residuals, tol), residuals
 
 
 def check_bounded_necessary(
@@ -103,4 +99,4 @@ def check_bounded_necessary(
     Necessary only; no sufficiency is claimed or tested here.
     """
     residuals = {"Q_norm_excess": max(0.0, op_norm(S.Q) - 1.0)}
-    return _passes(residuals, tol), residuals
+    return residuals_within(residuals, tol), residuals

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -27,6 +28,7 @@ from . import oracle as _oracle
 from . import semigroup as _sg
 from . import symbols as _sym
 from .errors import DegreeCapError, NotApplicableError
+from .linalg import residuals_within
 from .polynomials import MPoly
 
 DEFAULT_TOL = 1e-9
@@ -50,16 +52,17 @@ def _load_points(path: str):
 
 
 def _verdict(residuals: dict, tol: float) -> str:
-    worst = max(residuals.values(), default=0.0)
-    if worst <= tol:
+    if residuals_within(residuals, tol):
         return "true"
-    if worst <= 10.0 * tol:
+    if residuals_within(residuals, 10.0 * tol):
         return "indeterminate"
     return "false"
 
 
 def _emit(verdict: str, residuals: dict | None = None, payload=None) -> dict:
-    doc: dict = {"verdict": verdict, "residuals": residuals or {}}
+    """Output document; a non-finite residual is written as null."""
+    residuals = {k: v if math.isfinite(v) else None for k, v in (residuals or {}).items()}
+    doc: dict = {"verdict": verdict, "residuals": residuals}
     if payload is not None:
         doc["payload"] = payload
     return doc
@@ -261,10 +264,11 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         doc, code = args.func(args)
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     except (ValueError, DegreeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(text)
     return code
 
 

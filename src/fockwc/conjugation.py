@@ -34,6 +34,7 @@ from .linalg import (
     herm_eig,
     normal_eig,
     op_norm,
+    residuals_within,
 )
 from .symbols import ScaledKernel, WcSymbol, adjoint_symbol
 
@@ -95,19 +96,22 @@ def validate(J: ConjugationParams, tol: float = 1e-9) -> tuple[bool, dict]:
     """Check the three conjugation conditions; residuals are absolute.
 
     Residual 1 covers condition (i) as max(unitarity, symmetry) defect of A,
-    residual 2 is ||A conj(b) + b||, residual 3 is | |c|^2 e^{|b|^2} - 1 |.
+    residual 2 is ||A conj(b) + b||, residual 3 is | |c|^2 e^{|b|^2} - 1 |,
+    evaluated as |expm1(2 log|c| + |b|^2)| so that tiny |c| against large
+    |b| neither underflows nor overflows (c = 0 gives 1, not NaN).
     """
     eye = np.eye(J.dim)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_scale = 2.0 * np.log(abs(J.c)) + np.linalg.norm(J.b) ** 2
+        scalar = abs(float(np.expm1(log_scale)))
     residuals = {
         "matrix": max(
             op_norm(J.A @ adj(J.A) - eye), op_norm(J.A - J.A.T)
         ),
         "vector": float(np.linalg.norm(J.A @ np.conj(J.b) + J.b)),
-        "scalar": abs(
-            abs(J.c) ** 2 * float(np.exp(np.linalg.norm(J.b) ** 2)) - 1.0
-        ),
+        "scalar": scalar,
     }
-    return max(residuals.values()) <= tol, residuals
+    return residuals_within(residuals, tol), residuals
 
 
 def require_valid(J: ConjugationParams, tol: float = 1e-9) -> None:
@@ -239,9 +243,9 @@ def find_conjugation_real_symmetric(
     entries of u take phase 0, so the construction is deterministic.
     Raises ``NotApplicableError`` outside the (skew-)real-symmetric class.
     """
-    from .classify import _passes, _real_symmetry_residuals
+    from .classify import _real_symmetry_residuals
 
-    if not any(_passes(r, tol) for r in _real_symmetry_residuals(S)):
+    if not any(residuals_within(r, tol) for r in _real_symmetry_residuals(S)):
         raise NotApplicableError(
             "operator is not (skew-)real symmetric; no construction applies"
         )

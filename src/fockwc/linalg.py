@@ -48,6 +48,7 @@ __all__ = [
     "is_symmetric",
     "is_hermitian",
     "is_normal",
+    "residuals_within",
 ]
 
 # Terms of the scaled Taylor series are capped well past the point where
@@ -328,3 +329,9 @@ def is_normal(M, tol: float = 1e-10) -> tuple[bool, float]:
     M = as_matrix(M)
     defect = op_norm(M @ adj(M) - adj(M) @ M) / (1.0 + op_norm(M) ** 2)
     return defect <= tol, defect
+
+
+def residuals_within(residuals: dict, tol: float) -> bool:
+    """True iff every residual is at most ``tol``; a NaN residual fails
+    (``max`` would silently drop it)."""
+    return all(r <= tol for r in residuals.values())

@@ -12,10 +12,10 @@ builds finite sections of the operators on the orthonormal monomial basis
 combinatorial series expansion (never quadrature).  Closed-form identities
 elsewhere in the package are validated against both.
 
-Truncated sections exploit the factorization C = (multiply by psi) o
-(compose with phi): composition is degree non-increasing, so the truncated
-matrix is the product of a multiplication section and a composition section
-with no extra truncation error in between.
+Truncated sections are built column by column: column 0 is the truncated
+exponential weight, and each further column is an earlier one times one
+linear factor of the composition.  No step loses accuracy, since the terms
+of degree <= N of a linear polynomial times g depend only on those of g.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .symbols import ScaledKernel, WcSymbol, act_on_kernel, act_on_kernels, adjo
 
 __all__ = [
     "MAX_TRUNC_DEGREE",
+    "MAX_TRUNC_BASIS",
     "KernelCombo",
     "inner",
     "combo_norm",
@@ -55,6 +56,9 @@ __all__ = [
 # factorials are computed in floating point; degrees beyond this cap are
 # refused rather than silently losing accuracy
 MAX_TRUNC_DEGREE = 24
+# basis sizes beyond this cap are refused before any table or n x n matrix
+# is built: one complex128 section of this size takes 256 MiB
+MAX_TRUNC_BASIS = 4096
 
 
 # --- kernel span engine ------------------------------------------------------
@@ -268,33 +272,14 @@ class _IndexTables:
             [mi_factorial(a) for a in self.indices], dtype=np.float64
         )
         self.sqrt_fact = np.sqrt(self.fact)
-        # scatter maps for multiplication by z_j on raw coefficient vectors
-        self.shifts = []
-        for j in range(d):
-            src, dst = [], []
-            for i, alpha in enumerate(self.indices):
-                if self.degree[i] < N:
-                    up = list(alpha)
-                    up[j] += 1
-                    src.append(i)
-                    dst.append(self.pos[tuple(up)])
-            self.shifts.append(
-                (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp))
-            )
-        # (gamma, delta) pairs with |gamma| + |delta| <= N, for assembling
-        # multiplication-operator sections in one vectorized store
-        rows, cols, deltas = [], [], []
-        for ig, gamma in enumerate(self.indices):
-            room = N - int(self.degree[ig])
-            for idl, delta in enumerate(self.indices):
-                if self.degree[idl] > room:
-                    break
-                rows.append(self.pos[tuple(g + x for g, x in zip(gamma, delta))])
-                cols.append(ig)
-                deltas.append(idl)
-        self.pair_rows = np.array(rows, dtype=np.intp)
-        self.pair_cols = np.array(cols, dtype=np.intp)
-        self.pair_deltas = np.array(deltas, dtype=np.intp)
+        # multiplication by z_j on raw coefficient vectors moves the first
+        # n_low entries (degree < N, a prefix in graded order) to shifts[j]
+        self.n_low = int(np.count_nonzero(self.degree < N))
+        self.shifts = [
+            np.array([self.pos[a[:j] + (a[j] + 1,) + a[j + 1:]] for a in self.indices[:self.n_low]],
+                     dtype=np.intp)
+            for j in range(d)
+        ]
 
 
 _TABLES: dict[tuple[int, int], _IndexTables] = {}
@@ -307,46 +292,44 @@ def _tables(d: int, N: int) -> _IndexTables:
         raise DegreeCapError(
             f"truncation degree {N} exceeds cap {MAX_TRUNC_DEGREE}"
         )
+    n = math.comb(N + d, d)
+    if n > MAX_TRUNC_BASIS:
+        raise DegreeCapError(f"basis size {n} for d={d}, N={N} exceeds cap {MAX_TRUNC_BASIS}")
     key = (d, N)
     if key not in _TABLES:
         _TABLES[key] = _IndexTables(d, N)
     return _TABLES[key]
 
 
+def _monomials(w: np.ndarray, tab: _IndexTables) -> np.ndarray:
+    """w^alpha for every multi-index alpha of the tables."""
+    return np.prod(np.power(w[None, :], tab.alpha), axis=1)
+
+
 def _wc_section(c0: complex, wvec: np.ndarray, B: np.ndarray,
                 beta: np.ndarray, N: int) -> np.ndarray:
     """Section of f -> c0 e^{z.wvec} f(B z + beta) on the normalized basis.
 
-    Dots denote the plain bilinear sum.  Built as (multiplication section)
-    @ (composition section) on raw monomial coefficients, then rescaled by
-    sqrt(beta!/alpha!).
+    Dots denote the plain bilinear sum.  Raw column alpha holds the terms of
+    degree <= N of c0 e^{z.wvec} (B z + beta)^alpha: column 0 is c0
+    wvec^gamma/gamma!, and column alpha is (beta_k + sum_j B_kj z_j) times
+    column alpha - e_k.  Row gamma is rescaled by sqrt(gamma!/alpha!) at the end.
     """
     d = wvec.size
     tab = _tables(d, N)
     n = len(tab.indices)
 
-    comp = np.zeros((n, n), dtype=np.complex128)
-    comp[0, 0] = 1.0
+    raw = np.empty((n, n), dtype=np.complex128, order="F")
+    raw[:, 0] = c0 * _monomials(wvec, tab) / tab.fact
     for col in range(1, n):
         alpha = tab.indices[col]
         k = next(i for i, a in enumerate(alpha) if a > 0)
-        down = list(alpha)
-        down[k] -= 1
-        v = comp[:, tab.pos[tuple(down)]]
+        v = raw[:, tab.pos[alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]]]
         out = beta[k] * v
         for j in range(d):
-            src, dst = tab.shifts[j]
             if B[k, j] != 0:
-                out[dst] += B[k, j] * v[src]
-        comp[:, col] = out
-
-    evec = np.prod(
-        np.power(wvec[None, :], tab.alpha), axis=1
-    ) / tab.fact
-    mult = np.zeros((n, n), dtype=np.complex128)
-    mult[tab.pair_rows, tab.pair_cols] = c0 * evec[tab.pair_deltas]
-
-    raw = mult @ comp
+                out[tab.shifts[j]] += B[k, j] * v[:tab.n_low]
+        raw[:, col] = out
     return raw * (tab.sqrt_fact[:, None] / tab.sqrt_fact[None, :])
 
 
@@ -392,9 +375,7 @@ def kernel_coeff_vector(w, N: int) -> np.ndarray:
     """Basis coefficients of K_w up to degree N: conj(w)^alpha/sqrt(alpha!)."""
     w = as_vector(w, name="w")
     tab = _tables(w.size, N)
-    return np.prod(
-        np.power(np.conj(w)[None, :], tab.alpha), axis=1
-    ) / tab.sqrt_fact
+    return _monomials(np.conj(w), tab) / tab.sqrt_fact
 
 
 def poly_coeff_vector(f: MPoly, N: int) -> np.ndarray:

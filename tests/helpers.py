@@ -6,9 +6,12 @@ defining conditions themselves (projections and explicit solves), never by
 calling the code under test.
 """
 
+import math
+
 import numpy as np
 
 from fockwc import ConjugationParams, SemigroupParams, WcSymbol, adj, op_norm
+from fockwc.polynomials import MPoly, mi_factorial, multi_indices
 
 
 def crandn(rng, *shape, scale=1.0):
@@ -227,3 +230,35 @@ def large_scale_symbol(rng, d, scale=300.0, radius=3.0):
     unit = q / scale
     pts = [unit * radius, unit * radius * 0.9] + rand_points(rng, d, 4, radius=1.0)
     return WcSymbol(S.theta, q, S.Q, q), pts
+
+
+def ref_wc_section(c0, wvec, B, beta, N):
+    """Section of f -> c0 e^{z.wvec} f(B z + beta) from MPoly arithmetic.
+
+    Column alpha is the truncated exponential series sum_g c0 wvec^g/g!
+    times the full polynomial (B z + beta)^alpha, cut at degree N, with
+    entry (gamma, alpha) rescaled by sqrt(gamma!/alpha!).
+    """
+    d = len(wvec)
+    indices = multi_indices(d, N)
+    expo = MPoly(d, {
+        g: c0 * np.prod(np.asarray(wvec, dtype=complex) ** np.array(g)) / mi_factorial(g)
+        for g in indices
+    })
+    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    linear = [
+        MPoly(d, {(0,) * d: beta[k], **{units[j]: B[k][j] for j in range(d)}})
+        for k in range(d)
+    ]
+    M = np.zeros((len(indices), len(indices)), dtype=complex)
+    for col, alpha in enumerate(indices):
+        power = MPoly.constant(d, 1.0)
+        for k, a in enumerate(alpha):
+            for _ in range(a):
+                power = power * linear[k]
+        coeffs = (expo * power).coeffs
+        for row, gamma in enumerate(indices):
+            M[row, col] = coeffs.get(gamma, 0.0) * math.sqrt(
+                mi_factorial(gamma) / mi_factorial(alpha)
+            )
+    return M

@@ -53,6 +53,30 @@ def test_validate_conjugation_negative(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "false"
 
 
+def _rejecting_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize("c, scalar", [(0.0, 1.0), (1.0, None)])
+def test_validate_conjugation_extreme_scalar(tmp_path, capsys, c, scalar):
+    # b = 30: c = 0 gives residual 1, c = 1 an infinite residual, which
+    # is written as null so that stdout stays strict JSON
+    J = {"d": 1, "A": [[[-1.0, 0.0]]], "b": [[30.0, 0.0]], "c": [c, 0.0]}
+    path = write(tmp_path, "J.json", J)
+    code, out, _ = invoke(capsys, ["validate-conjugation", "--in", path])
+    doc = json.loads(out, parse_constant=_rejecting_constant)
+    assert code == 1
+    assert doc["verdict"] == "false"
+    assert doc["residuals"]["scalar"] == scalar
+
+
+def test_verdict_fails_nan_residual():
+    from fockwc.cli import _verdict
+
+    assert _verdict({"a": float("nan"), "b": 0.0}, 1e-9) == "false"
+    assert _verdict({"a": 0.0, "b": float("nan")}, 1e-9) == "false"
+
+
 def test_classify_example(tmp_path, capsys):
     S = WcSymbol(3.0, [2 + 1j], [[0.5]], [2 + 1j])
     path = write(tmp_path, "S.json", S.to_json())

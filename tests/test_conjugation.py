@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,29 @@ def test_validate_examples():
     ok, res = validate(ConjugationParams(np.eye(2), [1.0, 0.0], 1.0))
     assert not ok
     assert abs(res["vector"] - 2.0) < 1e-15
+
+
+def test_validate_rejects_zero_scalar():
+    # |c|^2 e^{|b|^2} = 0 * inf must not become a NaN that passes
+    ok, res = validate(ConjugationParams([[-1.0]], [30.0], 0.0))
+    assert not ok
+    assert res["scalar"] == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_validate_tiny_scalar_against_large_b():
+    # |c|^2 = e^{-900} underflows and e^{|b|^2} = e^{900} overflows
+    ok, res = validate(ConjugationParams([[-1.0]], [30.0], math.exp(-450.0)))
+    assert ok
+    assert math.isfinite(res["scalar"]) and res["scalar"] <= 1e-12
+
+
+def test_residuals_within_fails_nan():
+    from fockwc.linalg import residuals_within
+
+    assert residuals_within({"a": 0.0, "b": 1e-12}, 1e-9)
+    assert not residuals_within({"a": math.nan, "b": 0.0}, 1e-9)
+    assert not residuals_within({"a": 0.0, "b": math.nan}, 1e-9)
 
 
 def test_random_valid_conjugations_pass():

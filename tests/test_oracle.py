@@ -28,7 +28,8 @@ from fockwc import (
     trunc_conjugation_matrix,
     trunc_symbol_matrix,
 )
-from fockwc.oracle import _tables
+from fockwc import oracle
+from fockwc.oracle import MAX_TRUNC_BASIS, _tables
 from fockwc.polynomials import MPoly
 from helpers import (
     combo_termwise_dev,
@@ -42,6 +43,7 @@ from helpers import (
     rand_valid_conjugation,
     ref_j_symmetry_defect,
     ref_pairing_defect,
+    ref_wc_section,
 )
 
 
@@ -252,6 +254,29 @@ def test_trunc_conjugation_involution_low_degree():
 def test_trunc_degree_cap():
     with pytest.raises(DegreeCapError):
         trunc_symbol_matrix(identity_symbol(1), 25)
+
+
+def test_trunc_basis_cap_refuses_before_building():
+    d, N = 12, 12  # n = C(24, 12) = 2704156 monomials, below the degree cap
+    assert math.comb(N + d, d) == 2704156 > MAX_TRUNC_BASIS
+    with pytest.raises(DegreeCapError, match="basis size 2704156"):
+        _tables(d, N)
+    assert (d, N) not in oracle._TABLES
+
+
+@pytest.mark.parametrize("d, N", [(3, 5), (2, 9)])
+def test_full_sections_match_mpoly_reference(d, N):
+    rng = np.random.default_rng(61 + d)
+    S = rand_symbol(rng, d)
+    assert min(abs(S.theta), *np.abs(S.ell), *np.abs(S.Q).ravel(), *np.abs(S.q)) > 0
+    want = ref_wc_section(S.theta, np.conj(S.ell), S.Q, S.q, N)
+    got = trunc_symbol_matrix(S, N).matrix
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    J = rand_valid_conjugation(rng, d, with_b=True)
+    want = ref_wc_section(J.c, J.b, J.A, J.b, N)
+    got = trunc_conjugation_matrix(J, N).matrix
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_kernel_coeff_vector_examples():
