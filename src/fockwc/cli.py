@@ -42,6 +42,19 @@ def _load_json(path: str):
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"JSON nested too deeply in {path}") from exc
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a positive finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def _load_points(path: str):
@@ -206,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
         return p
 
     add(

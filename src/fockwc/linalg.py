@@ -136,29 +136,36 @@ def expm(M, tol: float = 1e-14) -> np.ndarray:
     falls below ``tol``, and the result is repeatedly squared.  The
     truncation level is what ``tol`` controls; it cannot go below double
     precision (~1e-16), where the series is summed to machine accuracy.
+    Overflow of the 1-norm of the input or of the result raises ``ValueError``.
     """
     M = as_matrix(M)
     if not tol > 0:
         raise ValueError("tol must be positive")
     d = M.shape[0]
-    nrm = float(np.linalg.norm(M, 1))
-    s = _scaling_power(nrm)
-    X = M / (2.0 ** s)
-    x = min(nrm / (2.0 ** s), 0.5)
+    # overflow surfaces as one of the two ValueErrors, never as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        nrm = float(np.linalg.norm(M, 1))
+        if not math.isfinite(nrm):
+            raise ValueError("matrix 1-norm is not finite")
+        s = _scaling_power(nrm)
+        X = M / (2.0 ** s)
+        x = min(nrm / (2.0 ** s), 0.5)
 
-    eye = np.eye(d, dtype=np.complex128)
-    acc = eye.copy()
-    term = eye.copy()
-    bound = 1.0
-    for k in range(1, _EXPM_MAX_TERMS + 1):
-        term = term @ X / k
-        acc += term
-        bound = bound * x / k
-        # remainder after k terms, geometric tail folded into factor 2
-        if 2.0 * bound * x / (k + 1) <= tol or not term.any():
-            break
-    for _ in range(s):
-        acc = acc @ acc
+        eye = np.eye(d, dtype=np.complex128)
+        acc = eye.copy()
+        term = eye.copy()
+        bound = 1.0
+        for k in range(1, _EXPM_MAX_TERMS + 1):
+            term = term @ X / k
+            acc += term
+            bound = bound * x / k
+            # remainder after k terms, geometric tail folded into factor 2
+            if 2.0 * bound * x / (k + 1) <= tol or not term.any():
+                break
+        for _ in range(s):
+            acc = acc @ acc
+    if not np.isfinite(acc).all():
+        raise ValueError("matrix exponential is not finite")
     return acc
 
 

@@ -16,6 +16,9 @@ Truncated sections are built column by column: column 0 is the truncated
 exponential weight, and each further column is an earlier one times one
 linear factor of the composition.  No step loses accuracy, since the terms
 of degree <= N of a linear polynomial times g depend only on those of g.
+For the same reason a row bound m builds only the rows of degree <= m (a
+prefix in graded order) and gets those rows of the full section exactly;
+``cross_check`` builds only the rows of degree <= N/2 that it compares.
 """
 
 from __future__ import annotations
@@ -280,6 +283,13 @@ class _IndexTables:
                      dtype=np.intp)
             for j in range(d)
         ]
+        # column alpha > 0 of a section is built from its parent column
+        # alpha - e_k, k = axis, the first axis with alpha_k > 0
+        self.axis = [next(j for j, a in enumerate(alpha) if a) for alpha in self.indices[1:]]
+        self.parent = [
+            self.pos[alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]]
+            for alpha, k in zip(self.indices[1:], self.axis)
+        ]
 
 
 _TABLES: dict[tuple[int, int], _IndexTables] = {}
@@ -307,30 +317,40 @@ def _monomials(w: np.ndarray, tab: _IndexTables) -> np.ndarray:
 
 
 def _wc_section(c0: complex, wvec: np.ndarray, B: np.ndarray,
-                beta: np.ndarray, N: int) -> np.ndarray:
+                beta: np.ndarray, N: int, rows: int | None = None) -> np.ndarray:
     """Section of f -> c0 e^{z.wvec} f(B z + beta) on the normalized basis.
 
     Dots denote the plain bilinear sum.  Raw column alpha holds the terms of
     degree <= N of c0 e^{z.wvec} (B z + beta)^alpha: column 0 is c0
     wvec^gamma/gamma!, and column alpha is (beta_k + sum_j B_kj z_j) times
     column alpha - e_k.  Row gamma is rescaled by sqrt(gamma!/alpha!) at the end.
+
+    With ``rows = m`` (default N) only the rows of degree <= m are built:
+    the graded prefix of the full section, equal to it bit for bit, since
+    those rows of a column depend only on the rows of degree <= m of its
+    parent (whose rows of degree < m feed the products with z_j).
+    ``cross_check`` builds its rows of degree <= N // 2 this way.
     """
     d = wvec.size
     tab = _tables(d, N)
-    n = len(tab.indices)
+    m = N if rows is None else rows
+    n_rows = int(np.searchsorted(tab.degree, m, side="right"))
+    n_src = int(np.searchsorted(tab.degree, m, side="left"))
+    # per axis k, the nonzero linear terms of beta_k + sum_j B_kj z_j
+    terms = [
+        [(tab.shifts[j][:n_src], B[k, j]) for j in range(d) if B[k, j] != 0]
+        for k in range(d)
+    ]
 
-    raw = np.empty((n, n), dtype=np.complex128, order="F")
-    raw[:, 0] = c0 * _monomials(wvec, tab) / tab.fact
-    for col in range(1, n):
-        alpha = tab.indices[col]
-        k = next(i for i, a in enumerate(alpha) if a > 0)
-        v = raw[:, tab.pos[alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]]]
-        out = beta[k] * v
-        for j in range(d):
-            if B[k, j] != 0:
-                out[tab.shifts[j]] += B[k, j] * v[:tab.n_low]
-        raw[:, col] = out
-    return raw * (tab.sqrt_fact[:, None] / tab.sqrt_fact[None, :])
+    raw = np.empty((n_rows, len(tab.indices)), dtype=np.complex128, order="F")
+    raw[:, 0] = c0 * _monomials(wvec, tab)[:n_rows] / tab.fact[:n_rows]
+    for col, (par, k) in enumerate(zip(tab.parent, tab.axis), start=1):
+        v = raw[:, par]
+        out = raw[:, col]
+        np.multiply(beta[k], v, out=out)
+        for dest, b in terms[k]:
+            out[dest] += b * v[:n_src]
+    return raw * (tab.sqrt_fact[:n_rows, None] / tab.sqrt_fact[None, :])
 
 
 @dataclass(frozen=True)
@@ -437,9 +457,8 @@ def cross_check(S: WcSymbol, w, N: int, tol: float = 1e-8) -> float:
             f"truncation tail bound {bound:.3e} is not below tol={tol:.1e}; "
             "shrink the data or raise N"
         )
-    T = trunc_symbol_matrix(S, N)
-    lhs = T.apply(kernel_coeff_vector(w, N))
+    block = _wc_section(S.theta, np.conj(S.ell), S.Q, S.q, N, rows=m)
+    lhs = block @ kernel_coeff_vector(w, N)
     img = act_on_kernel(S, w)
-    rhs = img.coeff * kernel_coeff_vector(img.point, N)
-    mask = tab.degree <= m
-    return float(np.linalg.norm((lhs - rhs)[mask]))
+    rhs = img.coeff * kernel_coeff_vector(img.point, N)[:n_rows]
+    return float(np.linalg.norm(lhs - rhs))

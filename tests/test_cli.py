@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fockwc
 from fockwc import WcSymbol, adjoint_symbol, symbol_distance
 from fockwc.cli import run
 from helpers import (
@@ -317,6 +322,40 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     code, out, err = invoke(capsys, ["classify", "--in", str(path)])
     assert code == 2 and out == "" and "error" in err
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = invoke(capsys, ["classify", "--in", str(path)])
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_tol_must_be_positive_finite(tmp_path, capsys, tol):
+    path = write(tmp_path, "S.json", _symbol_with())
+    code, out, err = invoke(capsys, ["classify", "--in", path, "--tol", tol])
+    assert code == 2 and out == "" and "--tol" in err
+
+
+def test_expm_overflow_stderr_is_one_error_line(tmp_path):
+    P = {
+        "d": 1,
+        "Omega": [[[0.5, 0.0]]],
+        "q_star": [[0.0, 0.0]],
+        "ell_star": [[0.0, 0.0]],
+        "theta_star": [0.0, 0.0],
+    }
+    path = write(tmp_path, "P.json", P)
+    src = str(Path(fockwc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockwc.cli", "semigroup-at", "--in", path, "--t", "1e6"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
 def test_missing_file_exits_2(capsys):

@@ -41,6 +41,15 @@ def test_expm_rejects_bad_input():
         expm(np.eye(2), tol=0.0)
 
 
+def test_expm_overflow_raises_without_warning():
+    # the suite turns RuntimeWarning into an error, so a leaked overflow
+    # warning from the squaring phase would surface instead of ValueError
+    with pytest.raises(ValueError, match="not finite"):
+        expm([[1000.0]])
+    with pytest.raises(ValueError, match="not finite"):
+        expm([[1e308, 1e308], [1e308, 1e308]])  # finite entries, 1-norm overflows
+
+
 def test_expm_inverse_identity():
     rng = np.random.default_rng(0)
     tol = 1e-12

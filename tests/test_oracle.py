@@ -31,6 +31,7 @@ from fockwc import (
 from fockwc import oracle
 from fockwc.oracle import MAX_TRUNC_BASIS, _tables
 from fockwc.polynomials import MPoly
+from fockwc.symbols import act_on_kernel
 from helpers import (
     combo_termwise_dev,
     crandn,
@@ -279,6 +280,22 @@ def test_full_sections_match_mpoly_reference(d, N):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize(
+    "d, N", [(1, 12), (2, 12), (3, 10), (3, 16), (4, 12), (5, 10), (2, 0), (3, 1)]
+)
+@pytest.mark.parametrize("zeros", [False, True], ids=["generic", "diagonal"])
+def test_row_bounded_section_is_graded_prefix(d, N, zeros):
+    rng = np.random.default_rng(71 + 10 * d + N)
+    S = rand_symbol(rng, d, scale=0.3)
+    B = np.diag(np.diag(S.Q)) if zeros else S.Q
+    args = (S.theta, np.conj(S.ell), B, S.q, N)
+    full = oracle._wc_section(*args)
+    degree = _tables(d, N).degree
+    for m in {0, N // 2, N}:
+        block = oracle._wc_section(*args, rows=m)
+        assert np.array_equal(block, full[:np.count_nonzero(degree <= m)])
+
+
 def test_kernel_coeff_vector_examples():
     v = kernel_coeff_vector(np.zeros(2), 3)
     assert v[0] == 1.0 and np.all(v[1:] == 0.0)
@@ -316,6 +333,18 @@ def test_cross_check_identity_and_random():
     assert cross_check(identity_symbol(2), [0.1, 0.05], 8) < 1e-12
     S = WcSymbol(1.0, [0.3], [[0.5]], [0.2])
     assert cross_check(S, [0.4], 12) <= 1e-8
+
+
+@pytest.mark.parametrize("N", [9, 12])
+def test_cross_check_equals_full_section_formula(N):
+    S = WcSymbol(0.8 - 0.3j, [0.1, -0.05j], [[0.3, 0.1j], [-0.2, 0.25]], [0.05, 0.1j])
+    w = np.array([0.2, -0.1 + 0.1j])
+    img = act_on_kernel(S, w)
+    rhs = img.coeff * kernel_coeff_vector(img.point, N)
+    lhs = trunc_symbol_matrix(S, N).apply(kernel_coeff_vector(w, N))
+    deg = _tables(2, N).degree
+    want = float(np.linalg.norm((lhs - rhs)[deg <= N // 2]))
+    assert cross_check(S, w, N) == want
 
 
 def test_cross_check_detects_wrong_kernel_action():
