@@ -276,10 +276,16 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        doc, code = args.func(args)
+        # an overflow that no library routine handles means the input is
+        # out of range: it exits 2 instead of warning on stderr
+        with np.errstate(over="raise", invalid="raise"):
+            doc, code = args.func(args)
         text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     except (ValueError, DegreeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:
+        print(f"error: input out of floating-point range ({exc})", file=sys.stderr)
         return 2
     print(text)
     return code

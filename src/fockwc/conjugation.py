@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import jsonio
 from .errors import NotApplicableError, PreconditionError
@@ -191,14 +190,19 @@ _ZERO_VEC_TOL = 1e-13
 
 
 def _complete_unitary(cols: list[np.ndarray], n: int) -> np.ndarray:
-    """Extend orthonormal columns to a full unitary matrix."""
+    """Extend orthonormal columns to a full unitary matrix.
+
+    The trailing rows of the full SVD of C* span the kernel of C*, the
+    orthogonal complement of the given columns.
+    """
     if not cols:
         return np.eye(n, dtype=np.complex128)
-    C = np.column_stack(cols)
-    if C.shape[1] == n:
-        return C.astype(np.complex128)
-    rest = scipy.linalg.null_space(np.conj(C).T)
-    return np.column_stack([C, rest]).astype(np.complex128)
+    C = np.column_stack(cols).astype(np.complex128)
+    k = C.shape[1]
+    if k == n:
+        return C
+    _, _, Vh = np.linalg.svd(adj(C))
+    return np.column_stack([C, adj(Vh[k:])])
 
 
 def _pairing_symmetric_unitary(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -16,6 +16,14 @@ exponential with the companion phi-functions
 grouped eigendecompositions for Hermitian and normal matrices, the operator
 norm, and tolerance-aware structure predicates.  All functions are pure and
 never mutate their inputs.
+
+NumPy is the only dependency.  Normal matrices are diagonalized through
+their commuting Hermitian parts H1 = (M + M*)/2 and H2 = (M - M*)/(2i):
+``eigh`` of H1 + gamma H2 for one fixed irrational gamma, with each cluster
+of that spectrum split again by ``eigh`` of the compressed H1 and then H2
+blocks, and one first-order refinement when V* M V is off-diagonal by more
+than roundoff.  The result is accepted only if V* M V is diagonal to within
+1e-10 (1 + ||M||).
 """
 
 from __future__ import annotations
@@ -24,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import PreconditionError
 
@@ -54,6 +61,23 @@ __all__ = [
 # Terms of the scaled Taylor series are capped well past the point where
 # the remainder bound drops below double precision for norms <= 1/2.
 _EXPM_MAX_TERMS = 64
+
+# normal_eig: irrational weight of H2 in the first split form H1 + gamma H2
+_HERM_MIX = math.sqrt(2.0) - 1.0
+# normal_eig cuts an eigh spectrum at gaps above these multiples of
+# 1 + ||M||: wide for the mixed form, so near-coincident values of
+# Re + gamma Im are re-split by the parts instead of mixed across a small
+# gap, and narrow for the parts, so a rotation inside a cluster moves an
+# already-diagonal part by at most this much
+_SPLIT_MIXED = 1e-6
+_SPLIT_PART = 1e-11
+# normal_eig refines V once V* M V is off-diagonal by more than
+# _REFINE_TOL (1 + ||M||), correcting the mixing of eigenvalues farther
+# apart than _REFINE_GAP (1 + ||M||), the default group tolerance
+_REFINE_TOL = 1e-14
+_REFINE_GAP = 1e-8
+# normal_eig accepts V* M V with this much off-diagonal mass, times 1 + ||M||
+_DIAG_TOL = 1e-10
 
 
 def as_scalar(z, name: str = "scalar") -> complex:
@@ -116,13 +140,16 @@ def adj(M: np.ndarray) -> np.ndarray:
 
 def op_norm(M) -> float:
     """Operator (spectral) norm: the largest singular value."""
-    return float(np.linalg.norm(as_matrix(M), 2))
+    # what np.linalg.norm(M, 2) computes, without its dispatch overhead
+    return float(np.linalg.svd(as_matrix(M), compute_uv=False)[0])
 
 
 def _scaling_power(nrm: float) -> int:
+    """Least s >= 0 with nrm / 2**s <= 1/2, exact and overflow-free."""
     if nrm <= 0.5:
         return 0
-    return max(0, int(math.ceil(math.log2(nrm / 0.5))))
+    m, e = math.frexp(nrm)  # nrm = m 2**e with 1/2 <= m < 1
+    return e if m == 0.5 else e + 1
 
 
 def expm(M, tol: float = 1e-14) -> np.ndarray:
@@ -148,8 +175,9 @@ def expm(M, tol: float = 1e-14) -> np.ndarray:
         if not math.isfinite(nrm):
             raise ValueError("matrix 1-norm is not finite")
         s = _scaling_power(nrm)
-        X = M / (2.0 ** s)
-        x = min(nrm / (2.0 ** s), 0.5)
+        # 2**-s stays representable where 2**s overflows (s > 1023)
+        X = M * 2.0 ** -s
+        x = min(nrm * 2.0 ** -s, 0.5)
 
         eye = np.eye(d, dtype=np.complex128)
         acc = eye.copy()
@@ -283,21 +311,86 @@ def _cluster_complex(eigs: np.ndarray, gtol: float) -> list[list[int]]:
     return ordered
 
 
+def _runs(w: np.ndarray, gap: float) -> list[tuple[int, int]]:
+    """Index ranges [lo, hi) of the runs of two or more ascending values
+    ``w`` whose consecutive differences are at most ``gap``."""
+    cuts = [0, *((w[1:] - w[:-1] > gap).nonzero()[0] + 1).tolist(), w.size]
+    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
+
+
+def _split_diagonal(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal of ``D``, and ``D`` itself with its diagonal zeroed."""
+    eigs = D.diagonal().copy()
+    D.flat[:: D.shape[0] + 1] = 0.0
+    return eigs, D
+
+
+def _refine(V: np.ndarray, eigs: np.ndarray, E: np.ndarray, gap: float) -> np.ndarray:
+    """One first-order correction V (I + X) of unitary V, where V* M V has
+    diagonal ``eigs`` and off-diagonal part ``E``, re-orthonormalized by QR.
+
+    X_ij = E_ij / (eigs_j - eigs_i) cancels E to first order; pairs closer
+    than ``gap`` keep X_ij = 0.  ``eigh`` mixes eigenvectors across a gap g
+    of its form by an angle of order eps ||M|| / g, which leaves entries of
+    order eps ||M|| |lambda_i - lambda_j| / g when the form's gap
+    understates the eigenvalue distance; this step brings them back to the
+    order of eps ||M||.
+    """
+    delta = eigs[None, :] - eigs[:, None]
+    far = np.abs(delta) > gap
+    X = np.zeros_like(E)
+    X[far] = E[far] / delta[far]
+    return np.linalg.qr(V + V @ X)[0]
+
+
 def normal_eig(M, group_tol: float | None = None) -> SpectralDecomposition:
     """Unitary diagonalization of a normal matrix, complex eigenvalues.
 
-    Uses the complex Schur form, whose triangular factor is diagonal for
-    normal input.  Columns are permuted so that eigenvalue groups (clusters
-    at distance ``group_tol``) occupy contiguous index ranges, ordered by
-    the real then imaginary part of the group mean.  Raises
-    ``PreconditionError`` when ``||MM* - M*M|| > 1e-10 ||M||^2``.
+    The Hermitian parts H1 = (M + M*)/2 and H2 = (M - M*)/(2i) of a normal
+    matrix commute, so one unitary V diagonalizes both, and M = H1 + i H2.
+    V comes from ``eigh`` of H1 + gamma H2 for a fixed irrational gamma;
+    each cluster of that spectrum, where distinct eigenvalues may share
+    Re + gamma Im, is split again by ``eigh`` of the compressed H1 block,
+    and each cluster of that by ``eigh`` of the compressed H2 block.  When
+    V* M V is off-diagonal by more than roundoff, one first-order step
+    (``_refine``) corrects the mixing.  The eigenvalues are the diagonal of
+    V* M V, and ``PreconditionError`` is raised if its off-diagonal part
+    (Frobenius norm) exceeds ``1e-10*(1+||M||)``.  Columns are permuted so
+    that eigenvalue groups (clusters at distance ``group_tol``) occupy
+    contiguous index ranges, ordered by the real then imaginary part of the
+    group mean.  Raises ``PreconditionError`` when
+    ``||MM* - M*M|| > 1e-10 ||M||^2``.
     """
     M = as_matrix(M)
+    Ms = adj(M)
     nrm = op_norm(M)
-    if op_norm(M @ adj(M) - adj(M) @ M) > 1e-10 * nrm * nrm + 1e-300:
+    if op_norm(M @ Ms - Ms @ M) > 1e-10 * nrm * nrm + 1e-300:
         raise PreconditionError("normal_eig requires a normal matrix")
-    T, Z = scipy.linalg.schur(M, output="complex")
-    eigs = np.diag(T).copy()
+    scale = 1.0 + nrm
+    # H1 + gamma H2 = ((1 - i gamma) M + (1 + i gamma) M*) / 2
+    w, V = np.linalg.eigh(0.5 * ((1.0 - 1j * _HERM_MIX) * M + (1.0 + 1j * _HERM_MIX) * Ms))
+    D = adj(V) @ M @ V
+    for lo, hi in _runs(w, _SPLIT_MIXED * scale):
+        C = D[lo:hi, lo:hi]  # compressed H1 and H2 are its Hermitian parts
+        if np.linalg.norm(C - C[0, 0] * np.eye(hi - lo)) <= _SPLIT_PART * scale:
+            continue  # one repeated eigenvalue: V already diagonalizes M here
+        w1, U = np.linalg.eigh(0.5 * (C + adj(C)))
+        for a, b in _runs(w1, _SPLIT_PART * scale):
+            U2 = U[:, a:b]
+            U[:, a:b] = U2 @ np.linalg.eigh(adj(U2) @ (-0.5j * (C - adj(C))) @ U2)[1]
+        V[:, lo:hi] = V[:, lo:hi] @ U
+        D[lo:hi] = adj(U) @ D[lo:hi]
+        D[:, lo:hi] = D[:, lo:hi] @ U
+    eigs, E = _split_diagonal(D)
+    off = np.linalg.norm(E)
+    if off > _REFINE_TOL * scale:
+        V = _refine(V, eigs, E, _REFINE_GAP * scale)
+        eigs, E = _split_diagonal(adj(V) @ M @ V)
+        off = np.linalg.norm(E)
+    if off > _DIAG_TOL * scale:
+        raise PreconditionError(
+            f"normal_eig: V* M V is off-diagonal by {off:.3e}; no unitary diagonalization found"
+        )
     gtol = _default_group_tol(nrm) if group_tol is None else float(group_tol)
     clusters = _cluster_complex(eigs, gtol)
     perm = [i for cluster in clusters for i in cluster]
@@ -306,7 +399,7 @@ def normal_eig(M, group_tol: float | None = None) -> SpectralDecomposition:
     for cluster in clusters:
         groups.append(tuple(range(start, start + len(cluster))))
         start += len(cluster)
-    return SpectralDecomposition(Z[:, perm], eigs[perm], tuple(groups))
+    return SpectralDecomposition(V[:, perm], eigs[perm], tuple(groups))
 
 
 def is_unitary(M, tol: float = 1e-10) -> tuple[bool, float]:

@@ -113,9 +113,13 @@ def symbol_at(P: SemigroupParams, t: float, tol: float = 1e-13) -> WcSymbol:
     Q_t, p1, p2 = expm_phi12(t * P.Omega, tol)
     q_t = t * (p1 @ P.q_star)
     ell_t = t * (adj(p1) @ P.ell_star)
-    theta_t = np.exp(
-        P.theta_star * t + pairing(t * t * (p2 @ P.q_star), P.ell_star)
-    )
+    # an overflowing exponent surfaces as the ValueError, never as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta_t = complex(np.exp(
+            P.theta_star * t + pairing(t * t * (p2 @ P.q_star), P.ell_star)
+        ))
+    if not (math.isfinite(theta_t.real) and math.isfinite(theta_t.imag)):
+        raise ValueError(f"theta_t is not finite at t = {t!r}")
     return WcSymbol(theta_t, ell_t, Q_t, q_t)
 
 

@@ -358,6 +358,43 @@ def test_expm_overflow_stderr_is_one_error_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
+def run_child(args, timeout=120):
+    """``python`` with this checkout's fockwc first on the path."""
+    src = str(Path(fockwc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize(
+    "theta_star, argv",
+    [(1.0, ["semigroup-at", "--t", "1000"]), (800.0, ["semigroup-check"])],
+    ids=["semigroup-at", "semigroup-check"],
+)
+def test_theta_overflow_stderr_is_one_error_line(tmp_path, theta_star, argv):
+    P = {
+        "d": 1,
+        "Omega": [[[0.0, 0.0]]],
+        "q_star": [[0.0, 0.0]],
+        "ell_star": [[0.0, 0.0]],
+        "theta_star": [theta_star, 0.0],
+    }
+    path = write(tmp_path, "P.json", P)
+    proc = run_child(["-m", "fockwc.cli", *argv, "--in", path])
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "theta_t" in lines[0], proc.stderr
+
+
+def test_cli_import_loads_no_scipy():
+    proc = run_child(
+        ["-c", "import sys, fockwc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = invoke(capsys, ["adjoint", "--in", "/nonexistent.json"])
     assert code == 2 and "error" in err

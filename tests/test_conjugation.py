@@ -346,3 +346,19 @@ def test_conjugation_json_round_trip():
     J2 = ConjugationParams.from_json(J.to_json())
     assert np.array_equal(J.A, J2.A) and np.array_equal(J.b, J2.b)
     assert J.c == J2.c
+
+
+@pytest.mark.parametrize(
+    "n, k", [(n, k) for n in (1, 2, 5) for k in sorted({0, 1, 2, n}) if k <= n]
+)
+def test_complete_unitary_extends_orthonormal_columns(n, k):
+    from fockwc.conjugation import _complete_unitary
+    from helpers import rand_unitary
+
+    cols = list(rand_unitary(np.random.default_rng(10 * n + k), n)[:, :k].T)
+    G = _complete_unitary(cols, n)
+    assert G.shape == (n, n)
+    assert op_norm(adj(G) @ G - np.eye(n)) <= 1e-13
+    assert op_norm(G @ adj(G) - np.eye(n)) <= 1e-13
+    for j, c in enumerate(cols):
+        assert np.array_equal(G[:, j], c)

@@ -195,3 +195,52 @@ def test_predicates():
     for pred in (is_unitary, is_symmetric, is_hermitian, is_normal):
         ok, defect = pred(shear)
         assert not ok and defect > 1e-2
+
+
+def _assert_unitary_diagonalization(M, dec):
+    V = dec.unitary
+    d = M.shape[0]
+    assert op_norm(adj(V) @ V - np.eye(d)) <= 1e-13
+    D = adj(V) @ M @ V
+    assert np.linalg.norm(D - np.diag(np.diag(D))) <= 1e-12 * (1 + op_norm(M))
+    assert np.max(np.abs(np.diag(D) - dec.eigenvalues)) <= 1e-12 * (1 + op_norm(M))
+    start = 0
+    for g in dec.groups:
+        assert list(g) == list(range(start, start + len(g)))
+        start += len(g)
+    assert start == d
+
+
+def test_normal_eig_splits_a_mixed_form_collision():
+    from fockwc.linalg import _HERM_MIX
+
+    lam1 = 0.3 + 0.2j
+    lam2 = lam1 + 0.7 * (_HERM_MIX - 1j)  # distinct, same Re + gamma Im
+    assert abs(lam1 - lam2) > 0.5
+    assert abs((lam1.real + _HERM_MIX * lam1.imag) - (lam2.real + _HERM_MIX * lam2.imag)) < 1e-15
+    U = rand_unitary(np.random.default_rng(7), 3)
+    M = U @ np.diag([lam1, lam2, -0.4 + 0.1j]) @ adj(U)
+    dec = normal_eig(M)
+    _assert_unitary_diagonalization(M, dec)
+    assert len(dec.groups) == 3
+    got = np.sort_complex(dec.eigenvalues)
+    assert np.max(np.abs(got - np.sort_complex(np.array([lam1, lam2, -0.4 + 0.1j])))) < 1e-12
+
+
+def test_normal_eig_sixteen_fold_eigenvalue_at_d32():
+    rng = np.random.default_rng(8)
+    lam = crandn(rng, 32)
+    lam[:16] = 0.25 - 0.5j
+    U = rand_unitary(rng, 32)
+    M = U @ np.diag(lam) @ adj(U)
+    dec = normal_eig(M)
+    _assert_unitary_diagonalization(M, dec)
+    sizes = sorted(len(g) for g in dec.groups)
+    assert sizes == [1] * 16 + [16]
+
+
+def test_normal_eig_rejects_a_nearly_normal_defective_matrix():
+    # ||MM* - M*M|| = 1e-12 passes the normality precondition, but no
+    # unitary V makes V* M V diagonal to better than about 5e-7
+    with pytest.raises(PreconditionError, match="off-diagonal"):
+        normal_eig(np.array([[1.0, 1e-6], [0.0, 1.0]]))

@@ -251,3 +251,13 @@ def test_semigroup_json_round_trip():
     assert np.array_equal(P.Omega, P2.Omega)
     assert np.array_equal(P.q_star, P2.q_star)
     assert P.theta_star == P2.theta_star
+
+
+def test_symbol_at_theta_overflow_raises_without_warning():
+    # the suite turns RuntimeWarning into an error, so a leaked overflow
+    # warning from exp(theta* t) would surface instead of ValueError
+    P = SemigroupParams([[0.0]], [0.0], [0.0], 1.0)
+    with pytest.raises(ValueError, match="theta_t"):
+        symbol_at(P, 1000.0)
+    with pytest.raises(ValueError, match="theta_t"):
+        check_laws(SemigroupParams([[0.0]], [0.0], [0.0], 800.0), 0.5, 0.5)
