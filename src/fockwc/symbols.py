@@ -18,6 +18,7 @@ values; symbols are immutable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,8 @@ __all__ = [
 
 # absolute floor under the relative equality threshold
 _EQ_FLOOR = 1e-12
+# largest x with exp(x) finite in double precision
+_EXP_MAX = math.log(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,10 @@ def compose(S1: WcSymbol, S2: WcSymbol) -> WcSymbol:
     """
     if S1.dim != S2.dim:
         raise ValueError("compose requires symbols of equal dimension")
-    theta = S1.theta * S2.theta * complex(np.exp(pairing(S1.q, S2.ell)))
+    expo = pairing(S1.q, S2.ell)
+    if expo.real > _EXP_MAX:
+        raise ValueError(f"theta of the composition is not finite: Re<q1, ell2> = {expo.real:.6g}")
+    theta = S1.theta * S2.theta * complex(np.exp(expo))
     return WcSymbol(
         theta,
         S1.ell + adj(S1.Q) @ S2.ell,

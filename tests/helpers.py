@@ -262,3 +262,39 @@ def ref_wc_section(c0, wvec, B, beta, N):
                 mi_factorial(gamma) / mi_factorial(alpha)
             )
     return M
+
+
+def ref_column_section(c0, wvec, B, beta, N, rows=None):
+    """Section of f -> c0 e^{z.wvec} f(B z + beta), rows of degree <= rows,
+    by the column-at-a-time recurrence: raw column 0 is c0 wvec^gamma/gamma!
+    and column alpha is (beta_k + sum_j B_kj z_j) times column alpha - e_k,
+    k the first axis with alpha_k > 0, one NumPy call per nonzero term.
+
+    Same arithmetic, in the same order, as the engine's build, so the two
+    agree bit for bit."""
+    d = len(wvec)
+    indices = multi_indices(d, N)
+    pos = {a: i for i, a in enumerate(indices)}
+    degree = np.array([sum(a) for a in indices])
+    m = N if rows is None else rows
+    n_rows = int(np.count_nonzero(degree <= m))
+    n_src = int(np.count_nonzero(degree < m))
+    fact = np.array([mi_factorial(a) for a in indices])
+    shifts = [
+        np.array([pos[a[:j] + (a[j] + 1,) + a[j + 1:]] for a in indices[:n_src]], dtype=np.intp)
+        for j in range(d)
+    ]
+    w = np.asarray(wvec, dtype=complex)
+    monomials = np.prod(np.power(w[None, :], np.array(indices, dtype=np.int64)), axis=1)
+    raw = np.empty((n_rows, len(indices)), dtype=complex, order="F")
+    raw[:, 0] = c0 * monomials[:n_rows] / fact[:n_rows]
+    for col, alpha in enumerate(indices[1:], start=1):
+        k = next(j for j, a in enumerate(alpha) if a)
+        v = raw[:, pos[alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]]]
+        out = raw[:, col]
+        np.multiply(beta[k], v, out=out)
+        for j in range(d):
+            if B[k, j] != 0:
+                out[shifts[j]] += B[k, j] * v[:n_src]
+    sqrt_fact = np.sqrt(fact)
+    return raw * (sqrt_fact[:n_rows, None] / sqrt_fact[None, :])

@@ -43,6 +43,7 @@ from helpers import (
     rand_unitary,
     rand_valid_conjugation,
     ref_j_symmetry_defect,
+    ref_column_section,
     ref_pairing_defect,
     ref_wc_section,
 )
@@ -296,6 +297,27 @@ def test_row_bounded_section_is_graded_prefix(d, N, zeros):
         assert np.array_equal(block, full[:np.count_nonzero(degree <= m)])
 
 
+@pytest.mark.parametrize(
+    "d, N",
+    [(1, 3), (2, 3), (1, 12), (2, 12), (3, 10), (3, 12), (4, 10), (4, 12), (5, 10),
+     (2, 0), (2, 1), (3, 5)],
+)
+@pytest.mark.parametrize("kind", ["generic", "diagonal", "zero_column"])
+def test_section_equals_column_loop_reference(d, N, kind):
+    # rows in {0, N//2, N} put (4,10), (4,12) and (5,10) in full on the
+    # column side of LAYERED_MAX_ROWS and every other build on the run side
+    rng = np.random.default_rng(81 + 10 * d + N)
+    S = rand_symbol(rng, d, scale=0.3)
+    B = S.Q.copy()
+    if kind == "diagonal":
+        B = np.diag(np.diag(B))
+    elif kind == "zero_column":
+        B[:, 0] = 0
+    args = (S.theta, np.conj(S.ell), B, S.q, N)
+    for m in {0, N // 2, N}:
+        assert np.array_equal(oracle._wc_section(*args, rows=m), ref_column_section(*args, rows=m))
+
+
 def test_kernel_coeff_vector_examples():
     v = kernel_coeff_vector(np.zeros(2), 3)
     assert v[0] == 1.0 and np.all(v[1:] == 0.0)
@@ -365,6 +387,31 @@ def test_cross_check_tail_precondition():
     S = WcSymbol(1.0, [2.0], [[3.0]], [2.0])
     with pytest.raises(PreconditionError):
         cross_check(S, [2.0], 8)
+
+
+def test_exp_tail_overflow_is_inf():
+    assert exp_tail(1e200, 12) == math.inf
+
+
+def test_cross_check_overflowing_point_fails_precondition():
+    S = WcSymbol(1.0, [0.3], [[0.5]], [0.2])
+    with pytest.raises(PreconditionError, match="tail bound inf"):
+        cross_check(S, [1e200], 12)
+
+
+def test_kernel_coeff_vector_overflow_raises():
+    with pytest.raises(ValueError, match="kernel coefficient vector is not finite"):
+        kernel_coeff_vector([1e30], 24)
+
+
+@pytest.mark.parametrize(
+    "S",
+    [WcSymbol(1.0, [1e30], [[0.5]], [0.2]), WcSymbol(1e300, [1.0], [[4.0]], [4.0])],
+    ids=["ell", "theta"],
+)
+def test_trunc_symbol_matrix_overflow_raises(S):
+    with pytest.raises(ValueError, match="truncated section is not finite"):
+        trunc_symbol_matrix(S, 12)
 
 
 def test_trunc_compose_exact_for_zero_ell():

@@ -114,6 +114,12 @@ def test_compose_scalar_example():
     assert symbol_distance(got, WcSymbol(1.0, [1.0], [[2.0]], [2.0])) < 1e-15
 
 
+def test_compose_theta_overflow_raises():
+    S = WcSymbol(1.0, [30.0], [[0.5]], [30.0])  # Re<q, ell> = 900 > 709
+    with pytest.raises(ValueError, match="theta of the composition is not finite"):
+        compose(S, S)
+
+
 def test_compose_pointwise_oracle():
     rng = np.random.default_rng(13)
     for _ in range(20):
