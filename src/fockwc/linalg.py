@@ -17,6 +17,11 @@ grouped eigendecompositions for Hermitian and normal matrices, the operator
 norm, and tolerance-aware structure predicates.  All functions are pure and
 never mutate their inputs.
 
+The exponential scales its input by a power of two, cuts the Taylor series
+at the degree m that the remainder bound picks from ``tol``, evaluates that
+polynomial by Paterson-Stockmeyer in about 2 sqrt(m) matrix products
+instead of m, and squares back.
+
 NumPy is the only dependency.  Normal matrices are diagonalized through
 their commuting Hermitian parts H1 = (M + M*)/2 and H2 = (M - M*)/(2i):
 ``eigh`` of H1 + gamma H2 for one fixed irrational gamma, with each cluster
@@ -28,6 +33,7 @@ than roundoff.  The result is accepted only if V* M V is diagonal to within
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -61,6 +67,8 @@ __all__ = [
 # Terms of the scaled Taylor series are capped well past the point where
 # the remainder bound drops below double precision for norms <= 1/2.
 _EXPM_MAX_TERMS = 64
+# Paterson-Stockmeyer tables (q, C) of expm, keyed by the Taylor degree
+_PS_TABLES: dict[int, tuple[int, np.ndarray]] = {}
 
 # normal_eig: irrational weight of H2 in the first split form H1 + gamma H2
 _HERM_MIX = math.sqrt(2.0) - 1.0
@@ -125,12 +133,19 @@ def freeze(instance, **fields) -> None:
 
 
 def pairing(u, v) -> complex:
-    """Hermitian pairing <u, v> = sum_k u_k conj(v_k) (linear in ``u``)."""
+    """Hermitian pairing <u, v> = sum_k u_k conj(v_k) (linear in ``u``).
+
+    Raises ``ValueError`` when the sum is not finite."""
     u = np.asarray(u, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
     if u.shape != v.shape:
         raise ValueError("pairing requires vectors of equal length")
-    return complex(np.dot(u, np.conj(v)))
+    # vdot conjugates its first argument; unlike dot, it sets no overflow
+    # warning, and it sums in the same order, to the same bits
+    r = complex(np.vdot(v, u))
+    if not cmath.isfinite(r):
+        raise ValueError("pairing <u, v> is not finite")
+    return r
 
 
 def adj(M: np.ndarray) -> np.ndarray:
@@ -152,15 +167,51 @@ def _scaling_power(nrm: float) -> int:
     return e if m == 0.5 else e + 1
 
 
+def _taylor_degree(x: float, tol: float) -> int:
+    """Least degree m with 2 x^(m+1) / (m+1)! <= tol, capped at
+    ``_EXPM_MAX_TERMS``: the Taylor remainder after the terms through X^m,
+    for ||X|| <= x <= 1/2, with the geometric tail folded into the 2."""
+    bound = 1.0
+    for m in range(1, _EXPM_MAX_TERMS + 1):
+        bound = bound * x / m  # x^m / m!
+        if 2.0 * bound * x / (m + 1) <= tol:
+            return m
+    return _EXPM_MAX_TERMS
+
+
+def _ps_table(m: int) -> tuple[int, np.ndarray]:
+    """Paterson-Stockmeyer split of sum_{k<=m} X^k/k! with q = floor(sqrt m):
+    row j of C holds block j = sum_i C_ji X^i, i <= q, with C_ji = 1/(jq+i)!
+    for i < q, and up to i = q in the top block, which ends at degree m.
+    Cached per degree."""
+    table = _PS_TABLES.get(m)
+    if table is None:
+        q = math.isqrt(m)
+        r = -(-m // q)  # blocks
+        C = np.zeros((r, q + 1), dtype=np.complex128)
+        for j in range(r):
+            top = m - j * q if j == r - 1 else q - 1  # the top block ends at m
+            for i in range(top + 1):
+                C[j, i] = 1.0 / math.factorial(j * q + i)
+        C.flags.writeable = False
+        table = _PS_TABLES[m] = (q, C)
+    return table
+
+
 def expm(M, tol: float = 1e-14) -> np.ndarray:
     """Matrix exponential by scaling and squaring of a truncated series.
 
     The input is scaled by a power of two until its 1-norm is at most 1/2,
-    the Taylor series is summed until the analytic remainder bound
+    and the Taylor series is cut at the least degree m whose analytic
+    remainder bound
 
-        ||X||^(k+1) / (k+1)! * 1/(1 - ||X||)
+        ||X||^(m+1) / (m+1)! * 1/(1 - ||X||)
 
-    falls below ``tol``, and the result is repeatedly squared.  The
+    is below ``tol``.  That polynomial is evaluated by Paterson-Stockmeyer:
+    with q = floor(sqrt(m)), the powers X^2 ... X^q (q - 1 products) give
+    every block of q consecutive terms at once, and Horner's rule in X^q
+    joins the ceil(m/q) blocks (ceil(m/q) - 1 more products), about 2 sqrt(m)
+    products instead of m.  The result is then repeatedly squared.  The
     truncation level is what ``tol`` controls; it cannot go below double
     precision (~1e-16), where the series is summed to machine accuracy.
     Overflow of the 1-norm of the input or of the result raises ``ValueError``.
@@ -168,7 +219,7 @@ def expm(M, tol: float = 1e-14) -> np.ndarray:
     M = as_matrix(M)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    d = M.shape[0]
+    n = M.shape[0]
     # overflow surfaces as one of the two ValueErrors, never as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         nrm = float(np.linalg.norm(M, 1))
@@ -177,19 +228,18 @@ def expm(M, tol: float = 1e-14) -> np.ndarray:
         s = _scaling_power(nrm)
         # 2**-s stays representable where 2**s overflows (s > 1023)
         X = M * 2.0 ** -s
-        x = min(nrm * 2.0 ** -s, 0.5)
-
-        eye = np.eye(d, dtype=np.complex128)
-        acc = eye.copy()
-        term = eye.copy()
-        bound = 1.0
-        for k in range(1, _EXPM_MAX_TERMS + 1):
-            term = term @ X / k
-            acc += term
-            bound = bound * x / k
-            # remainder after k terms, geometric tail folded into factor 2
-            if 2.0 * bound * x / (k + 1) <= tol or not term.any():
-                break
+        q, C = _ps_table(_taylor_degree(min(nrm * 2.0 ** -s, 0.5), tol))
+        powers = np.zeros((q + 1, n, n), dtype=np.complex128)  # I, X ... X^q
+        powers[0].ravel()[:: n + 1] = 1.0
+        powers[1] = X
+        for i in range(2, q + 1):
+            np.matmul(powers[i - 1], X, out=powers[i])
+        # every block at once, then Horner's rule in X^q
+        blocks = (C @ powers.reshape(q + 1, -1)).reshape(-1, n, n)
+        acc = blocks[-1]
+        for j in range(blocks.shape[0] - 2, -1, -1):
+            acc = acc @ powers[q]
+            acc += blocks[j]
         for _ in range(s):
             acc = acc @ acc
     if not np.isfinite(acc).all():
@@ -206,9 +256,12 @@ def expm_phi12(M, tol: float = 1e-14) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """
     M = as_matrix(M)
     d = M.shape[0]
-    eye = np.eye(d, dtype=np.complex128)
-    zero = np.zeros((d, d), dtype=np.complex128)
-    W = np.block([[M, eye, zero], [zero, zero, eye], [zero, zero, zero]])
+    n = 3 * d
+    W = np.zeros((n, n), dtype=np.complex128)
+    W[:d, :d] = M
+    # the two identity blocks are the entries (i, i + d), i < 2d: every
+    # (n+1)-th entry of the flat array from d on, the last at 2dn - 1
+    W.ravel()[d : 2 * d * n : n + 1] = 1.0
     E = expm(W, tol)
     return E[:d, :d].copy(), E[:d, d:2 * d].copy(), E[:d, 2 * d:].copy()
 

@@ -28,6 +28,7 @@ the rows of degree <= N/2 that it compares.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import groupby
@@ -170,8 +171,13 @@ def inner(F: KernelCombo, G: KernelCombo) -> complex:
     """
     if F.dim != G.dim:
         raise ValueError("kernel combo dimensions differ")
-    gram = np.exp(_log_gram(0.0, F.points, 0.0, G.points))
-    return complex(F.coeffs @ gram @ np.conj(G.coeffs))
+    E = _log_gram(0.0, F.points, 0.0, G.points)
+    # an overflowing kernel value surfaces as the ValueError, never as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(F.coeffs @ np.exp(E) @ np.conj(G.coeffs))
+    if not cmath.isfinite(value):
+        raise ValueError(f"inner product is not finite: max Re<z_j, w_i> = {E.real.max():.6g}")
+    return value
 
 
 def combo_norm(F: KernelCombo) -> float:

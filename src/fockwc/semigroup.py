@@ -22,6 +22,7 @@ holomorphic.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -233,14 +234,25 @@ def continuity_defect(P: SemigroupParams, w, t: float) -> float:
     With (a, u) = act_on_kernel(symbol_at(t), w),
 
         ||a K_u - K_w||^2 = |a|^2 e^{|u|^2} + e^{|w|^2}
-                            - 2 Re(conj(a) e^{<u, w>}).
+                            - 2 Re(conj(a) e^{<u, w>}),
+
+    evaluated with e^{|w|^2} factored out, so that it stays finite wherever
+    the defect itself is.  ``ValueError`` where the defect overflows.
     """
     w = as_vector(w, P.dim, "w")
     img = act_on_kernel(symbol_at(P, t), w)
     a, u = img.coeff, img.point
-    sq = (
-        abs(a) ** 2 * math.exp(float(np.linalg.norm(u)) ** 2)
-        + math.exp(float(np.linalg.norm(w)) ** 2)
-        - 2.0 * (np.conj(a) * np.exp(pairing(u, w))).real
-    )
-    return math.sqrt(max(sq, 0.0))
+    w2 = pairing(w, w).real
+    try:
+        scaled = (
+            abs(a) ** 2 * math.exp(pairing(u, u).real - w2)
+            + 1.0
+            - 2.0 * (a.conjugate() * cmath.exp(pairing(u, w) - w2)).real
+        )
+        root = math.sqrt(max(scaled, 0.0))
+        defect = math.exp(0.5 * w2 + math.log(root)) if root > 0.0 else 0.0
+    except OverflowError:
+        defect = math.inf
+    if not math.isfinite(defect):
+        raise ValueError(f"continuity defect is not finite at |w|^2 = {w2:.6g}")
+    return defect

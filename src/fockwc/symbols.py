@@ -18,6 +18,7 @@ values; symbols are immutable.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -48,6 +49,16 @@ _EQ_FLOOR = 1e-12
 _EXP_MAX = math.log(np.finfo(np.float64).max)
 
 
+def _times_exp(c: complex, expo: complex, what: str) -> complex:
+    """c e^expo, or ``ValueError`` naming ``what`` when it is not finite;
+    exp is never called where it would overflow."""
+    if cmath.isfinite(expo) and expo.real <= _EXP_MAX:
+        value = c * complex(np.exp(expo))
+        if cmath.isfinite(value):
+            return value
+    raise ValueError(f"{what} is not finite: exponent {expo:.6g}")
+
+
 @dataclass(frozen=True)
 class ScaledKernel:
     """A scalar multiple of one reproducing kernel: coeff * K_point."""
@@ -66,7 +77,7 @@ class ScaledKernel:
     def __call__(self, x) -> complex:
         """Evaluate coeff * K_point at x, i.e. coeff * e^{<x, point>}."""
         x = as_vector(x, self.dim, "x")
-        return self.coeff * complex(np.exp(pairing(x, self.point)))
+        return _times_exp(self.coeff, pairing(x, self.point), "kernel value")
 
 
 @dataclass(frozen=True)
@@ -125,7 +136,7 @@ def identity_symbol(d: int) -> WcSymbol:
 def evaluate(S: WcSymbol, z) -> tuple[complex, np.ndarray]:
     """Pointwise values (psi(z), phi(z)) by the defining formulas."""
     z = as_vector(z, S.dim, "z")
-    psi = S.theta * complex(np.exp(pairing(z, S.ell)))
+    psi = _times_exp(S.theta, pairing(z, S.ell), "psi(z)")
     return psi, S.Q @ z + S.q
 
 
@@ -141,7 +152,8 @@ def act_on_kernel(S: WcSymbol, w) -> ScaledKernel:
     """Image of K_w under C_S: theta e^{<q, w>} K_{Q* w + ell}."""
     w = as_vector(w, S.dim, "w")
     expo, points = act_on_kernels(S, w[None, :])
-    return ScaledKernel(S.theta * complex(np.exp(expo[0])), points[0])
+    coeff = _times_exp(S.theta, complex(expo[0]), "kernel image coefficient")
+    return ScaledKernel(coeff, points[0])
 
 
 def compose(S1: WcSymbol, S2: WcSymbol) -> WcSymbol:
@@ -154,10 +166,7 @@ def compose(S1: WcSymbol, S2: WcSymbol) -> WcSymbol:
     """
     if S1.dim != S2.dim:
         raise ValueError("compose requires symbols of equal dimension")
-    expo = pairing(S1.q, S2.ell)
-    if expo.real > _EXP_MAX:
-        raise ValueError(f"theta of the composition is not finite: Re<q1, ell2> = {expo.real:.6g}")
-    theta = S1.theta * S2.theta * complex(np.exp(expo))
+    theta = _times_exp(S1.theta * S2.theta, pairing(S1.q, S2.ell), "theta of the composition")
     return WcSymbol(
         theta,
         S1.ell + adj(S1.Q) @ S2.ell,

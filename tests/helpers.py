@@ -298,3 +298,31 @@ def ref_column_section(c0, wvec, B, beta, N, rows=None):
                 out[shifts[j]] += B[k, j] * v[:n_src]
     sqrt_fact = np.sqrt(fact)
     return raw * (sqrt_fact[:n_rows, None] / sqrt_fact[None, :])
+
+
+def ref_taylor_expm(M, tol=1e-14, max_terms=64):
+    """expm by the term-by-term Taylor sum, one matrix product per term.
+
+    Same scaling power s (least s >= 0 with ||M||_1 / 2^s <= 1/2), same
+    remainder bound 2 x^(k+1)/(k+1)! <= tol, and the same early exit once a
+    term is exactly zero (nilpotent input).  Returns the exponential and the
+    number of terms summed."""
+    M = np.asarray(M, dtype=complex)
+    nrm = float(np.linalg.norm(M, 1))
+    s = 0
+    while nrm * 2.0 ** -s > 0.5:
+        s += 1
+    X = M * 2.0 ** -s
+    x = min(nrm * 2.0 ** -s, 0.5)
+    acc = np.eye(M.shape[0], dtype=complex)
+    term = acc.copy()
+    bound = 1.0
+    for k in range(1, max_terms + 1):
+        term = term @ X / k
+        acc += term
+        bound = bound * x / k
+        if 2.0 * bound * x / (k + 1) <= tol or not term.any():
+            break
+    for _ in range(s):
+        acc = acc @ acc
+    return acc, k

@@ -18,7 +18,8 @@ from fockwc import (
     phi12,
     phi2,
 )
-from helpers import crandn, rand_unitary
+from fockwc.linalg import _scaling_power, _taylor_degree, expm_phi12
+from helpers import crandn, rand_unitary, ref_taylor_expm
 
 
 def test_expm_zero_is_identity():
@@ -244,3 +245,52 @@ def test_normal_eig_rejects_a_nearly_normal_defective_matrix():
     # unitary V makes V* M V diagonal to better than about 5e-7
     with pytest.raises(PreconditionError, match="off-diagonal"):
         normal_eig(np.array([[1.0, 1e-6], [0.0, 1.0]]))
+
+
+EXPM_DIMS = (1, 2, 3, 4, 8, 9, 24)
+EXPM_NORMS = (0.0, 1e-3, 0.3, 0.5, 0.51, 1.0, 7.0, 40.0)
+EXPM_TOLS = (1e-16, 1e-14, 1e-13, 1e-8, 1e-3)
+
+
+def _with_norm1(rng, d, nrm):
+    M = crandn(rng, d, d)
+    return M * (nrm / np.linalg.norm(M, 1))
+
+
+def test_expm_matches_term_by_term_sum():
+    # both sums carry roundoff of order eps, and each squaring doubles it:
+    # at ||M||_1 = 40 (s = 7) the term-by-term sum is itself up to 4e-14
+    # from a 40-digit evaluation, so the bound doubles past s = 4
+    rng = np.random.default_rng(2)
+    for d in EXPM_DIMS:
+        for nrm in EXPM_NORMS:
+            M = _with_norm1(rng, d, nrm)
+            bound = 1e-14 * 2.0 ** max(_scaling_power(np.linalg.norm(M, 1)) - 4, 0)
+            for tol in EXPM_TOLS:
+                ref, _ = ref_taylor_expm(M, tol)
+                dev = np.linalg.norm(expm(M, tol) - ref) / np.linalg.norm(ref)
+                assert dev <= bound, (d, nrm, tol, dev)
+
+
+def test_expm_degree_is_the_term_count_of_the_sum():
+    # same remainder bound, same stopping degree, on input whose terms never
+    # vanish (the term-by-term sum also stops at an exactly zero term)
+    rng = np.random.default_rng(3)
+    for d in EXPM_DIMS:
+        for nrm in EXPM_NORMS[1:]:
+            M = _with_norm1(rng, d, nrm)
+            x1 = float(np.linalg.norm(M, 1))
+            x = min(x1 * 2.0 ** -_scaling_power(x1), 0.5)
+            for tol in EXPM_TOLS:
+                assert _taylor_degree(x, tol) == ref_taylor_expm(M, tol)[1], (d, nrm, tol)
+
+
+def test_expm_phi12_augmented_matrix_is_the_block_matrix():
+    rng = np.random.default_rng(4)
+    for d in (1, 2, 3, 8):
+        M = crandn(rng, d, d, scale=0.7)
+        eye, zero = np.eye(d), np.zeros((d, d))
+        E = expm(np.block([[M, eye, zero], [zero, zero, eye], [zero, zero, zero]]), 1e-13)
+        blocks = (E[:d, :d], E[:d, d:2 * d], E[:d, 2 * d:])
+        for got, want in zip(expm_phi12(M, 1e-13), blocks):
+            assert np.array_equal(got, want)

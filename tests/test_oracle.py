@@ -437,3 +437,10 @@ def test_kernel_combo_json_round_trip():
     F = KernelCombo.from_pairs(2, [(1 + 2j, [0.1, 0.2j]), (-0.5, [0.3, 0.0])])
     F2 = KernelCombo.from_json(F.to_json())
     assert combo_norm(F - F2) < 1e-15
+
+
+def test_inner_overflow_raises():
+    # <K_30, K_30> = e^900 is past exp's limit at 709
+    F = KernelCombo.from_pairs(1, [(1.0, [30.0])])
+    with pytest.raises(ValueError, match="inner product is not finite"):
+        inner(F, F)

@@ -20,6 +20,7 @@ from fockwc import (
     validate_J_conditions,
 )
 from fockwc.oracle import _tables
+from fockwc.symbols import act_on_kernel
 from helpers import (
     crandn,
     rand_j_semigroup_pair,
@@ -261,3 +262,35 @@ def test_symbol_at_theta_overflow_raises_without_warning():
         symbol_at(P, 1000.0)
     with pytest.raises(ValueError, match="theta_t"):
         check_laws(SemigroupParams([[0.0]], [0.0], [0.0], 800.0), 0.5, 0.5)
+
+
+def _continuity_defect_unscaled(P, w, t):
+    # the formula with e^{|w|^2} left in: overflows from |w|^2 > 709 on
+    img = act_on_kernel(symbol_at(P, t), w)
+    a, u = img.coeff, img.point
+    sq = (
+        abs(a) ** 2 * math.exp(float(np.linalg.norm(u)) ** 2)
+        + math.exp(float(np.linalg.norm(w)) ** 2)
+        - 2.0 * (np.conj(a) * np.exp(np.vdot(w, u))).real
+    )
+    return math.sqrt(max(sq, 0.0))
+
+
+def test_continuity_defect_at_large_w():
+    # |w|^2 = 900: e^{|w|^2} overflows, the defect itself does not
+    assert continuity_defect(SemigroupParams([[0.0]], [0.0], [0.0], 0.0), [30.0], 0.5) == 0.0
+    P = SemigroupParams([[0.0]], [0.0], [0.0], 0.1)  # C(t) = e^{0.1 t}
+    want = (math.exp(0.05) - 1.0) * math.exp(450.0)
+    assert abs(continuity_defect(P, [30.0], 0.5) - want) <= 1e-12 * want
+    with pytest.raises(ValueError, match="continuity defect is not finite"):
+        continuity_defect(P, [40.0], 0.5)  # e^{800} (e^{0.05} - 1)
+
+
+def test_continuity_defect_matches_unscaled_formula():
+    rng = np.random.default_rng(82)
+    for d in (1, 2, 3):
+        P = rand_semigroup_params(rng, d)
+        w = crandn(rng, d, scale=0.5)
+        for t in (0.3, 1.0):
+            want = _continuity_defect_unscaled(P, w, t)
+            assert abs(continuity_defect(P, w, t) - want) <= 1e-12 * want

@@ -228,3 +228,20 @@ def test_symbol_json_round_trip():
     S = rand_symbol(rng, 3)
     S2 = WcSymbol.from_json(S.to_json())
     assert symbol_distance(S, S2) == 0.0
+
+
+def test_evaluate_psi_overflow_raises():
+    # Re<z, ell> = 1000 > 709: exp alone would overflow with a warning
+    with pytest.raises(ValueError, match=r"psi\(z\) is not finite"):
+        evaluate(WcSymbol(1.0, [10.0], [[0.5]], [0.0]), [100.0])
+
+
+def test_pairing_overflow_raises():
+    # entries past 1e154: the sum overflows although every entry is finite
+    S = WcSymbol(1.0, [1e200], [[0.5]], [1e200])
+    with pytest.raises(ValueError, match="pairing"):
+        pairing([1e200], [1e200])
+    with pytest.raises(ValueError, match="pairing"):
+        compose(S, S)
+    with pytest.raises(ValueError, match="pairing"):
+        evaluate(S, [1e200])
