@@ -27,11 +27,10 @@ from . import jsonio
 from . import oracle as _oracle
 from . import semigroup as _sg
 from . import symbols as _sym
+from .classify import DEFAULT_TOL
 from .errors import DegreeCapError, NotApplicableError
 from .linalg import residuals_within
 from .polynomials import MPoly
-
-DEFAULT_TOL = 1e-9
 
 
 def _load_json(path: str):

@@ -35,7 +35,7 @@ from .linalg import (
     op_norm,
     residuals_within,
 )
-from .symbols import ScaledKernel, WcSymbol, adjoint_symbol
+from .symbols import ScaledKernel, WcSymbol, _times_exp, adjoint_symbol
 
 __all__ = [
     "ConjugationParams",
@@ -138,7 +138,7 @@ def apply_to_kernel(J: ConjugationParams, w) -> ScaledKernel:
     require_valid(J)
     w = as_vector(w, J.dim, "w")
     expo, points = apply_to_kernels(J, w[None, :])
-    return ScaledKernel(J.c * complex(np.exp(expo[0])), points[0])
+    return ScaledKernel(_times_exp(J.c, complex(expo[0]), "J K_w coefficient"), points[0])
 
 
 def conjugate_by_J(S: WcSymbol, J: ConjugationParams) -> WcSymbol:
@@ -169,7 +169,7 @@ def conjugate_by_J(S: WcSymbol, J: ConjugationParams) -> WcSymbol:
         + np.dot(np.conj(b), np.conj(S.Q) @ b)
         + np.conj(np.dot(S.q, b))
     )
-    theta_p = abs(c) ** 2 * np.conj(S.theta) * complex(np.exp(expo))
+    theta_p = _times_exp(abs(c) ** 2 * S.theta.conjugate(), complex(expo), "theta of J C J")
     return WcSymbol(theta_p, lp, Qp, qp)
 
 

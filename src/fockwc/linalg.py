@@ -28,7 +28,9 @@ their commuting Hermitian parts H1 = (M + M*)/2 and H2 = (M - M*)/(2i):
 of that spectrum split again by ``eigh`` of the compressed H1 and then H2
 blocks, and one first-order refinement when V* M V is off-diagonal by more
 than roundoff.  The result is accepted only if V* M V is diagonal to within
-1e-10 (1 + ||M||).
+1e-10 (1 + ||M||).  Its eigenvalues are then grouped in one pass over
+Python complex values: the connected components of |lambda_i - lambda_j| <=
+group_tol, ordered by their mean.
 """
 
 from __future__ import annotations
@@ -333,35 +335,35 @@ def herm_eig(M, group_tol: float | None = None) -> SpectralDecomposition:
     return SpectralDecomposition(V, w.astype(np.complex128), tuple(groups))
 
 
-def _cluster_complex(eigs: np.ndarray, gtol: float) -> list[list[int]]:
-    # union-find on |lambda_i - lambda_j| <= gtol; robust against the
-    # lexicographic-sort pitfall for eigenvalues equal up to roundoff
-    n = eigs.size
-    parent = list(range(n))
+def _eigenvalue_groups(eigs: np.ndarray, gtol: float) -> tuple[list[int], tuple]:
+    """Column order and contiguous groups of ``normal_eig``: the connected
+    components of |lambda_i - lambda_j| <= gtol (robust against the
+    lexicographic-sort pitfall for values equal up to roundoff), each
+    labelled by its smallest index, members in index order, sorted by
+    (mean Re, mean Im) with ties smallest index first."""
+    vals = eigs.tolist()
+    label = list(range(len(vals)))
+    for i, a in enumerate(vals):
+        for j in range(i + 1, len(vals)):
+            if label[j] != label[i] and abs(a - vals[j]) <= gtol:
+                keep, drop = sorted((label[i], label[j]))
+                label = [keep if x == drop else x for x in label]
+    members: dict[int, list[int]] = {}
+    for i, x in enumerate(label):
+        members.setdefault(x, []).append(i)
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def mean_key(idx: list[int]) -> tuple[float, float]:
+        if len(idx) == 1:  # exact; np.mean of one value is the value
+            return vals[idx[0]].real, vals[idx[0]].imag
+        # not sum(): from three terms on it rounds differently
+        return float(np.mean(eigs[idx].real)), float(np.mean(eigs[idx].imag))
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(eigs[i] - eigs[j]) <= gtol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    clusters: dict[int, list[int]] = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-    ordered = sorted(
-        clusters.values(),
-        key=lambda idx: (
-            float(np.mean(eigs[idx].real)),
-            float(np.mean(eigs[idx].imag)),
-        ),
-    )
-    return ordered
+    perm: list[int] = []
+    groups = []
+    for cluster in sorted(members.values(), key=mean_key):
+        groups.append(tuple(range(len(perm), len(perm) + len(cluster))))
+        perm += cluster
+    return perm, tuple(groups)
 
 
 def _runs(w: np.ndarray, gap: float) -> list[tuple[int, int]]:
@@ -409,10 +411,11 @@ def normal_eig(M, group_tol: float | None = None) -> SpectralDecomposition:
     (``_refine``) corrects the mixing.  The eigenvalues are the diagonal of
     V* M V, and ``PreconditionError`` is raised if its off-diagonal part
     (Frobenius norm) exceeds ``1e-10*(1+||M||)``.  Columns are permuted so
-    that eigenvalue groups (clusters at distance ``group_tol``) occupy
-    contiguous index ranges, ordered by the real then imaginary part of the
-    group mean.  Raises ``PreconditionError`` when
-    ``||MM* - M*M|| > 1e-10 ||M||^2``.
+    that eigenvalue groups occupy contiguous index ranges: one pairwise pass
+    labels the connected components of |lambda_i - lambda_j| <= ``group_tol``
+    (chains included), which are ordered by the real then imaginary part of
+    the group mean, ties smallest index first; members keep index order.
+    Raises ``PreconditionError`` when ``||MM* - M*M|| > 1e-10 ||M||^2``.
     """
     M = as_matrix(M)
     Ms = adj(M)
@@ -445,14 +448,8 @@ def normal_eig(M, group_tol: float | None = None) -> SpectralDecomposition:
             f"normal_eig: V* M V is off-diagonal by {off:.3e}; no unitary diagonalization found"
         )
     gtol = _default_group_tol(nrm) if group_tol is None else float(group_tol)
-    clusters = _cluster_complex(eigs, gtol)
-    perm = [i for cluster in clusters for i in cluster]
-    groups: list[tuple[int, ...]] = []
-    start = 0
-    for cluster in clusters:
-        groups.append(tuple(range(start, start + len(cluster))))
-        start += len(cluster)
-    return SpectralDecomposition(V[:, perm], eigs[perm], tuple(groups))
+    perm, groups = _eigenvalue_groups(eigs, gtol)
+    return SpectralDecomposition(V[:, perm], eigs[perm], groups)
 
 
 def is_unitary(M, tol: float = 1e-10) -> tuple[bool, float]:

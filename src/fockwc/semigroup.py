@@ -30,12 +30,16 @@ import numpy as np
 
 from . import jsonio
 from .conjugation import ConjugationParams, require_valid
-from .linalg import adj, as_matrix, as_scalar, as_vector, expm_phi12, freeze, op_norm, pairing
+from .linalg import (
+    adj, as_matrix, as_scalar, as_vector, expm_phi12, freeze, op_norm, pairing, residuals_within,
+)
 # unused here, but kept as module attributes that benchmarks/tracing.py wraps
 from .linalg import expm, phi12  # noqa: F401
 from .oracle import poly_coeff_vector, trunc_symbol_matrix, _tables
 from .polynomials import MPoly
-from .symbols import WcSymbol, act_on_kernel, compose, identity_symbol, symbol_distance, symbols_equal
+from .symbols import (
+    WcSymbol, _times_exp, act_on_kernel, compose, identity_symbol, symbol_distance, symbols_equal,
+)
 
 __all__ = [
     "SemigroupParams",
@@ -114,13 +118,8 @@ def symbol_at(P: SemigroupParams, t: float, tol: float = 1e-13) -> WcSymbol:
     Q_t, p1, p2 = expm_phi12(t * P.Omega, tol)
     q_t = t * (p1 @ P.q_star)
     ell_t = t * (adj(p1) @ P.ell_star)
-    # an overflowing exponent surfaces as the ValueError, never as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta_t = complex(np.exp(
-            P.theta_star * t + pairing(t * t * (p2 @ P.q_star), P.ell_star)
-        ))
-    if not (math.isfinite(theta_t.real) and math.isfinite(theta_t.imag)):
-        raise ValueError(f"theta_t is not finite at t = {t!r}")
+    expo = P.theta_star * t + pairing(t * t * (p2 @ P.q_star), P.ell_star)
+    theta_t = _times_exp(1.0, expo, f"theta_t at t = {t!r}")
     return WcSymbol(theta_t, ell_t, Q_t, q_t)
 
 
@@ -148,16 +147,11 @@ def validate_J_conditions(
         np.conj(AOm @ P.q_star) - Om_ad @ (Om_ad @ bbar)
     )
     first = P.ell_star - (np.conj(J.A @ P.q_star) - Om_ad @ bbar)
-    residuals = {
+    verdict = {
         "AOmega_symmetric": op_norm(AOm.T - AOm),
         "ell_condition": float(np.linalg.norm(second)),
-        "first_order": float(np.linalg.norm(first)),
     }
-    ok = (
-        residuals["AOmega_symmetric"] <= tol
-        and residuals["ell_condition"] <= tol
-    )
-    return ok, residuals
+    return residuals_within(verdict, tol), {**verdict, "first_order": float(np.linalg.norm(first))}
 
 
 def check_laws(
@@ -185,22 +179,17 @@ def generator_apply(P: SemigroupParams, f: MPoly) -> MPoly:
     if f.dim != P.dim:
         raise ValueError("polynomial and semigroup dimensions differ")
     d = P.dim
-    weight = MPoly.constant(d, P.theta_star)
-    for k in range(d):
-        alpha = [0] * d
-        alpha[k] = 1
-        weight = weight + MPoly.monomial(d, alpha, np.conj(P.ell_star[k]))
-    out = weight * f
+    # keys in the order MPoly.__mul__ accumulates in: the constant, then e_0 ... e_{d-1}
+    units = [tuple(int(j == k) for j in range(d)) for k in range(d)]
+
+    def affine(const, linear) -> MPoly:
+        return MPoly(d, {(0,) * d: const, **dict(zip(units, linear))})
+
+    out = affine(P.theta_star, np.conj(P.ell_star)) * f
     for k in range(d):
         fk = f.partial(k)
-        if not fk.coeffs:
-            continue
-        drift = MPoly.constant(d, P.q_star[k])
-        for j in range(d):
-            alpha = [0] * d
-            alpha[j] = 1
-            drift = drift + MPoly.monomial(d, alpha, P.Omega[k, j])
-        out = out + fk * drift
+        if fk.coeffs:
+            out = out + fk * affine(P.q_star[k], P.Omega[k])
     return out
 
 

@@ -134,10 +134,12 @@ def identity_symbol(d: int) -> WcSymbol:
 
 
 def evaluate(S: WcSymbol, z) -> tuple[complex, np.ndarray]:
-    """Pointwise values (psi(z), phi(z)) by the defining formulas."""
+    """Pointwise values (psi(z), phi(z)) by the defining formulas;
+    ``ValueError`` naming the value that overflows."""
     z = as_vector(z, S.dim, "z")
     psi = _times_exp(S.theta, pairing(z, S.ell), "psi(z)")
-    return psi, S.Q @ z + S.q
+    with np.errstate(over="ignore", invalid="ignore"):
+        return psi, as_vector(S.Q @ z + S.q, name="phi(z)")
 
 
 def act_on_kernels(S: WcSymbol, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,12 +169,9 @@ def compose(S1: WcSymbol, S2: WcSymbol) -> WcSymbol:
     if S1.dim != S2.dim:
         raise ValueError("compose requires symbols of equal dimension")
     theta = _times_exp(S1.theta * S2.theta, pairing(S1.q, S2.ell), "theta of the composition")
-    return WcSymbol(
-        theta,
-        S1.ell + adj(S1.Q) @ S2.ell,
-        S2.Q @ S1.Q,
-        S2.Q @ S1.q + S2.q,
-    )
+    # an overflowing component is rejected by name in WcSymbol, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        return WcSymbol(theta, S1.ell + adj(S1.Q) @ S2.ell, S2.Q @ S1.Q, S2.Q @ S1.q + S2.q)
 
 
 def adjoint_symbol(S: WcSymbol) -> WcSymbol:

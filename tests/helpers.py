@@ -326,3 +326,82 @@ def ref_taylor_expm(M, tol=1e-14, max_terms=64):
     for _ in range(s):
         acc = acc @ acc
     return acc, k
+
+
+def ref_cluster_complex(eigs, gtol):
+    """The union-find grouping ``normal_eig`` used before its one-pass
+    labelling: clusters of |lambda_i - lambda_j| <= gtol, members in index
+    order, sorted (stably) by (mean Re, mean Im) computed by ``np.mean``."""
+    # union-find on |lambda_i - lambda_j| <= gtol; robust against the
+    # lexicographic-sort pitfall for eigenvalues equal up to roundoff
+    n = eigs.size
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(eigs[i] - eigs[j]) <= gtol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    clusters: dict[int, list[int]] = {}
+    for i in range(n):
+        clusters.setdefault(find(i), []).append(i)
+    ordered = sorted(
+        clusters.values(),
+        key=lambda idx: (
+            float(np.mean(eigs[idx].real)),
+            float(np.mean(eigs[idx].imag)),
+        ),
+    )
+    return ordered
+
+
+def ref_generator_apply(P, f):
+    """The generator built as sums of single-monomial ``MPoly`` values, the
+    construction ``generator_apply`` used before it built each affine factor
+    from one dict."""
+    d = P.dim
+    weight = MPoly.constant(d, P.theta_star)
+    for k in range(d):
+        alpha = [0] * d
+        alpha[k] = 1
+        weight = weight + MPoly.monomial(d, alpha, np.conj(P.ell_star[k]))
+    out = weight * f
+    for k in range(d):
+        fk = f.partial(k)
+        if not fk.coeffs:
+            continue
+        drift = MPoly.constant(d, P.q_star[k])
+        for j in range(d):
+            alpha = [0] * d
+            alpha[j] = 1
+            drift = drift + MPoly.monomial(d, alpha, P.Omega[k, j])
+        out = out + fk * drift
+    return out
+
+
+def rand_spectrum(rng, d, kind):
+    """d eigenvalues of one of the families the grouping is checked on:
+    random, repeated, repeated with 1e-10 perturbations, conjugate pairs,
+    or small Gaussian integers (many exactly tied group means)."""
+    if kind == "random":
+        return crandn(rng, d)
+    if kind in ("repeated", "perturbed"):
+        base = crandn(rng, d // 3 + 1)
+        lam = base[rng.integers(0, base.size, d)]
+        return lam + 1e-10 * crandn(rng, d) if kind == "perturbed" else lam
+    if kind == "conjugate_pairs":
+        z = crandn(rng, (d + 1) // 2)
+        return np.concatenate([z, np.conj(z)])[:d]
+    if kind == "integer":
+        return rng.integers(-2, 3, d) + 1j * rng.integers(-2, 3, d)
+    raise ValueError(kind)
+
+
+SPECTRUM_KINDS = ("random", "repeated", "perturbed", "conjugate_pairs", "integer")

@@ -115,6 +115,24 @@ def test_apply_to_kernel_rejects_invalid():
         apply_to_kernel(ConjugationParams(np.eye(2), [1.0, 0.0], 1.0), [0.0, 0.0])
 
 
+def _large_b_conjugation():
+    # A = I, b = 20i, c = e^-200: valid, since |c|^2 e^{|b|^2} = 1
+    return ConjugationParams(np.eye(1), [20j], math.exp(-200.0))
+
+
+def test_apply_to_kernel_coefficient_overflow_raises():
+    # <b, conj(w)> = 20000: exp alone would overflow with a warning
+    with pytest.raises(ValueError, match="J K_w coefficient is not finite"):
+        apply_to_kernel(_large_b_conjugation(), [-1000j])
+
+
+def test_conjugate_by_J_theta_overflow_raises():
+    # exponent l.b + conj(b).conj(Q)b + conj(q.b) = 800 + 400 = 1200
+    S = WcSymbol(1.0, [-40j], [[1.0]], [0.0])
+    with pytest.raises(ValueError, match="theta of J C J is not finite"):
+        conjugate_by_J(S, _large_b_conjugation())
+
+
 def test_conjugate_by_coordinate_conjugation():
     rng = np.random.default_rng(22)
     S = rand_symbol(rng, 3)

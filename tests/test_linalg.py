@@ -18,8 +18,21 @@ from fockwc import (
     phi12,
     phi2,
 )
-from fockwc.linalg import _scaling_power, _taylor_degree, expm_phi12
-from helpers import crandn, rand_unitary, ref_taylor_expm
+from fockwc.linalg import (
+    _default_group_tol,
+    _eigenvalue_groups,
+    _scaling_power,
+    _taylor_degree,
+    expm_phi12,
+)
+from helpers import (
+    SPECTRUM_KINDS,
+    crandn,
+    rand_spectrum,
+    rand_unitary,
+    ref_cluster_complex,
+    ref_taylor_expm,
+)
 
 
 def test_expm_zero_is_identity():
@@ -168,6 +181,36 @@ def test_normal_eig_groups_contiguous_for_repeats():
     assert sorted(len(g) for g in dec.groups) == [2, 2]
     for g in dec.groups:
         assert list(g) == list(range(g[0], g[0] + len(g)))
+
+
+def _reference_groups(eigs, gtol):
+    clusters = ref_cluster_complex(eigs, gtol)
+    perm = [i for c in clusters for i in c]
+    sizes = np.cumsum([0] + [len(c) for c in clusters])
+    return perm, tuple(tuple(range(lo, hi)) for lo, hi in zip(sizes[:-1], sizes[1:]))
+
+
+@pytest.mark.parametrize("kind", SPECTRUM_KINDS)
+def test_eigenvalue_groups_match_the_union_find(kind):
+    # same permutation and groups as the old union-find, ties included
+    rng = np.random.default_rng(SPECTRUM_KINDS.index(kind))
+    for d in (1, 2, 3, 4, 8, 9, 16, 32):
+        for _ in range(25):
+            eigs = rand_spectrum(rng, d, kind)
+            gtol = _default_group_tol(float(np.max(np.abs(eigs))))
+            assert _eigenvalue_groups(eigs, gtol) == _reference_groups(eigs, gtol)
+
+
+@pytest.mark.parametrize("kind", SPECTRUM_KINDS)
+def test_normal_eig_order_is_the_union_find_order(kind):
+    # the union-find leaves normal_eig's output order as it is
+    rng = np.random.default_rng(40 + SPECTRUM_KINDS.index(kind))
+    for d in (2, 3, 8, 9):
+        U = rand_unitary(rng, d)
+        M = U @ np.diag(rand_spectrum(rng, d, kind)) @ adj(U)
+        dec = normal_eig(M)
+        perm, groups = _reference_groups(dec.eigenvalues, _default_group_tol(op_norm(M)))
+        assert perm == list(range(d)) and groups == dec.groups
 
 
 def test_op_norm_values():

@@ -27,6 +27,7 @@ from helpers import (
     rand_points,
     rand_semigroup_params,
     rand_valid_conjugation,
+    ref_generator_apply,
 )
 
 
@@ -166,6 +167,31 @@ def test_generator_apply_examples():
     assert abs(g.coeffs[(0,)] - 0.5) < 1e-15
     assert abs(g.coeffs[(1,)] - (1.1 + 2.0)) < 1e-15
     assert abs(g.coeffs[(2,)] - np.conj(0.3 + 0.4j)) < 1e-15
+
+
+def test_generator_apply_matches_the_monomial_sums():
+    # same coefficients, bit for bit, in the same key order
+    rng = np.random.default_rng(78)
+    for d in (1, 2, 3, 4):
+        for _ in range(20):
+            P = rand_semigroup_params(rng, d)
+            f = MPoly(d, {
+                tuple(int(a) for a in rng.integers(0, 3, d)): complex(crandn(rng))
+                for _ in range(int(rng.integers(1, 6)))
+            })
+            got = list(generator_apply(P, f).coeffs.items())
+            assert got == list(ref_generator_apply(P, f).coeffs.items())
+
+
+def test_validate_J_conditions_nan_residual_fails():
+    # Omega q* and Omega* l* overflow to inf, and their difference is NaN
+    from fockwc import identity_conjugation
+
+    P = SemigroupParams([[1e200]], [1e200], [1e200], 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok, res = validate_J_conditions(P, identity_conjugation(1))
+    assert math.isnan(res["ell_condition"]) and not ok
+    assert list(res) == ["AOmega_symmetric", "ell_condition", "first_order"]
 
 
 def test_generator_linearity():

@@ -245,3 +245,16 @@ def test_pairing_overflow_raises():
         compose(S, S)
     with pytest.raises(ValueError, match="pairing"):
         evaluate(S, [1e200])
+
+
+def test_compose_matmul_overflow_raises_by_name():
+    # Q2 Q1 = 1e400: WcSymbol names Q instead of matmul warning first
+    S = WcSymbol(1.0, [0.0], [[1e200]], [0.0])
+    with pytest.raises(ValueError, match="Q contains non-finite entries"):
+        compose(S, S)
+
+
+def test_evaluate_phi_overflow_raises_by_name():
+    S = WcSymbol(1.0, [0.0], [[1e200]], [0.0])
+    with pytest.raises(ValueError, match=r"phi\(z\) contains non-finite entries"):
+        evaluate(S, [1e200])
