@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .conjugation import ConjugationParams, require_valid
-from .linalg import adj, op_norm, residuals_within
+from .linalg import _op_norms, adj, op_norm, residuals_within
 from .symbols import WcSymbol
 
 __all__ = [
@@ -78,15 +78,16 @@ def check_normal_bounded(
     """Membership in the bounded-normal class: Q normal with ||Q|| <= 1,
     (I - Q) ell = (I - Q*) q, and ||ell|| = ||q||."""
     eye = np.eye(S.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        comm = S.Q @ adj(S.Q) - adj(S.Q) @ S.Q
+        flow = float(np.linalg.norm((eye - S.Q) @ S.ell - (eye - adj(S.Q)) @ S.q))
+        length = abs(float(np.linalg.norm(S.ell)) - float(np.linalg.norm(S.q)))
+    normal, nrm = _op_norms({"Q Q* - Q* Q": comm, "Q": S.Q})
     residuals = {
-        "Q_normal": op_norm(S.Q @ adj(S.Q) - adj(S.Q) @ S.Q),
-        "Q_norm_excess": max(0.0, op_norm(S.Q) - 1.0),
-        "flow": float(
-            np.linalg.norm((eye - S.Q) @ S.ell - (eye - adj(S.Q)) @ S.q)
-        ),
-        "length": abs(
-            float(np.linalg.norm(S.ell)) - float(np.linalg.norm(S.q))
-        ),
+        "Q_normal": normal,
+        "Q_norm_excess": max(0.0, nrm - 1.0),
+        "flow": flow,
+        "length": length,
     }
     return residuals_within(residuals, tol), residuals
 

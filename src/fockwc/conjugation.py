@@ -25,6 +25,7 @@ import numpy as np
 from . import jsonio
 from .errors import NotApplicableError, PreconditionError
 from .linalg import (
+    _op_norms,
     adj,
     as_matrix,
     as_scalar,
@@ -100,14 +101,14 @@ def validate(J: ConjugationParams, tol: float = 1e-9) -> tuple[bool, dict]:
     |b| neither underflows nor overflows (c = 0 gives 1, not NaN).
     """
     eye = np.eye(J.dim)
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_scale = 2.0 * np.log(abs(J.c)) + np.linalg.norm(J.b) ** 2
         scalar = abs(float(np.expm1(log_scale)))
+        defects = {"A A* - I": J.A @ adj(J.A) - eye, "A - A^t": J.A - J.A.T}
+        vector = float(np.linalg.norm(J.A @ np.conj(J.b) + J.b))
     residuals = {
-        "matrix": max(
-            op_norm(J.A @ adj(J.A) - eye), op_norm(J.A - J.A.T)
-        ),
-        "vector": float(np.linalg.norm(J.A @ np.conj(J.b) + J.b)),
+        "matrix": max(_op_norms(defects)),
+        "vector": vector,
         "scalar": scalar,
     }
     return residuals_within(residuals, tol), residuals

@@ -15,7 +15,9 @@ exponential with the companion phi-functions
 
 grouped eigendecompositions for Hermitian and normal matrices, the operator
 norm, and tolerance-aware structure predicates.  All functions are pure and
-never mutate their inputs.
+never mutate their inputs.  A check that needs the norms of several
+residual matrices takes them from one SVD call on their stack, and a
+residual that overflows raises ``ValueError`` naming it.
 
 The exponential scales its input by a power of two, cuts the Taylor series
 at the degree m that the remainder bound picks from ``tol``, evaluates that
@@ -159,6 +161,20 @@ def op_norm(M) -> float:
     """Operator (spectral) norm: the largest singular value."""
     # what np.linalg.norm(M, 2) computes, without its dispatch overhead
     return float(np.linalg.svd(as_matrix(M), compute_uv=False)[0])
+
+
+def _op_norms(named: dict) -> list[float]:
+    """``op_norm`` of each of several square matrices of one size, keyed by
+    the name of the quantity, from one SVD call on their stack.  Each
+    matrix goes through the same LAPACK routine as alone, so every norm has
+    the same bits as its ``op_norm``.  ``ValueError`` names the first
+    matrix with a non-finite entry, which callers leave where a product
+    overflowed."""
+    stack = np.array(list(named.values()), dtype=np.complex128)
+    if not np.isfinite(stack).all():
+        name = next(k for k, M in zip(named, stack) if not np.isfinite(M).all())
+        raise ValueError(f"{name} contains non-finite entries")
+    return np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()
 
 
 def _scaling_power(nrm: float) -> int:
@@ -318,8 +334,10 @@ def herm_eig(M, group_tol: float | None = None) -> SpectralDecomposition:
     ``1e-12*(1+||M||)``.
     """
     M = as_matrix(M)
-    nrm = op_norm(M)
-    if op_norm(M - adj(M)) > 1e-12 * (1.0 + nrm):
+    with np.errstate(over="ignore", invalid="ignore"):
+        skew = M - adj(M)
+    nrm, skew_nrm = _op_norms({"M": M, "M - M*": skew})
+    if skew_nrm > 1e-12 * (1.0 + nrm):
         raise PreconditionError("herm_eig requires a Hermitian matrix")
     w, V = np.linalg.eigh(0.5 * (M + adj(M)))
     gtol = _default_group_tol(nrm) if group_tol is None else float(group_tol)
@@ -419,8 +437,10 @@ def normal_eig(M, group_tol: float | None = None) -> SpectralDecomposition:
     """
     M = as_matrix(M)
     Ms = adj(M)
-    nrm = op_norm(M)
-    if op_norm(M @ Ms - Ms @ M) > 1e-10 * nrm * nrm + 1e-300:
+    with np.errstate(over="ignore", invalid="ignore"):
+        comm = M @ Ms - Ms @ M
+    nrm, comm_nrm = _op_norms({"M": M, "M M* - M* M": comm})
+    if comm_nrm > 1e-10 * nrm * nrm + 1e-300:
         raise PreconditionError("normal_eig requires a normal matrix")
     scale = 1.0 + nrm
     # H1 + gamma H2 = ((1 - i gamma) M + (1 + i gamma) M*) / 2
@@ -456,28 +476,39 @@ def is_unitary(M, tol: float = 1e-10) -> tuple[bool, float]:
     """Unitarity predicate; returns (verdict, defect ||MM* - I||)."""
     M = as_matrix(M)
     eye = np.eye(M.shape[0])
-    defect = max(op_norm(M @ adj(M) - eye), op_norm(adj(M) @ M - eye))
+    with np.errstate(over="ignore", invalid="ignore"):
+        named = {"M M* - I": M @ adj(M) - eye, "M* M - I": adj(M) @ M - eye}
+    defect = max(_op_norms(named))
     return defect <= tol, defect
 
 
 def is_symmetric(M, tol: float = 1e-10) -> tuple[bool, float]:
     """Complex-symmetry predicate; defect is ||M - M^t|| / (1 + ||M||)."""
     M = as_matrix(M)
-    defect = op_norm(M - M.T) / (1.0 + op_norm(M))
+    with np.errstate(over="ignore", invalid="ignore"):
+        asym = M - M.T
+    asym_nrm, nrm = _op_norms({"M - M^t": asym, "M": M})
+    defect = asym_nrm / (1.0 + nrm)
     return defect <= tol, defect
 
 
 def is_hermitian(M, tol: float = 1e-10) -> tuple[bool, float]:
     """Hermitian predicate; defect is ||M - M*|| / (1 + ||M||)."""
     M = as_matrix(M)
-    defect = op_norm(M - adj(M)) / (1.0 + op_norm(M))
+    with np.errstate(over="ignore", invalid="ignore"):
+        skew = M - adj(M)
+    skew_nrm, nrm = _op_norms({"M - M*": skew, "M": M})
+    defect = skew_nrm / (1.0 + nrm)
     return defect <= tol, defect
 
 
 def is_normal(M, tol: float = 1e-10) -> tuple[bool, float]:
     """Normality predicate; defect is ||MM* - M*M|| / (1 + ||M||^2)."""
     M = as_matrix(M)
-    defect = op_norm(M @ adj(M) - adj(M) @ M) / (1.0 + op_norm(M) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        comm = M @ adj(M) - adj(M) @ M
+    comm_nrm, nrm = _op_norms({"M M* - M* M": comm, "M": M})
+    defect = comm_nrm / (1.0 + nrm ** 2)
     return defect <= tol, defect
 
 

@@ -4,9 +4,12 @@ Engine one works on finite spans of reproducing kernels, where every inner
 product is exact scalar arithmetic through the reproducing property
 ``<K_w, K_z> = e^{<z, w>}``.  C_S and J map kernels to scaled kernels in
 closed form, so each kernel-span quantity is one Gram matrix exp(E) of an
-exponent matrix E.  The defects are ratios: both sides share one shift
-e^{-c} that keeps every entry at most 1, so they stay finite wherever E is,
-far past |<q, w>| = 709 where e^{<q, w>} alone overflows.  Engine two
+exponent matrix E.  The point set is checked once, as one finite (m, d)
+array.  The defects are ratios: both sides share one shift e^{-c} that
+keeps every entry at most 1, so they stay finite wherever E is, far past
+|<q, w>| = 709 where e^{<q, w>} alone overflows.  The two sides of the
+J-symmetry form are one Gram matrix and its transpose, so that defect
+takes one exponential.  Engine two
 builds finite sections of the operators on the orthonormal monomial basis
 ``e_alpha = z^alpha/sqrt(alpha!)`` up to a total degree, by purely
 combinatorial series expansion (never quadrature).  Closed-form identities
@@ -208,25 +211,34 @@ def apply_conjugation(J: ConjugationParams, F: KernelCombo) -> KernelCombo:
 
 
 def _stack_points(points, dim: int) -> np.ndarray:
+    """The kernel points as the rows of a finite (m, d) array, m >= 2.
+
+    One conversion checks the usual input; anything it does not accept
+    goes through ``as_vector`` point by point, which raises the error that
+    names the fault."""
+    try:
+        Z = np.asarray(points, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    else:
+        if Z.ndim == 2 and Z.shape[0] >= 2 and Z.shape[1] == dim and np.isfinite(Z).all():
+            return Z
     pts = [as_vector(p, dim, "point") for p in points]
     if len(pts) < 2:
         raise ValueError("need at least two kernel points")
     return np.array(pts)
 
 
-def _relative_defect(lhs_coeff, EL, rhs_coeff, ER) -> float:
-    """max|lhs - rhs| / (1 + max|lhs|) for lhs = lhs_coeff exp(EL) and
-    rhs = rhs_coeff exp(ER), evaluated as max|lhs' - rhs'| / (e^{-c} + max|lhs'|)
-    on the sides times e^{-c}, c = max(0, max Re E + log|coeff|) over both.
+def _shift(*sides) -> float:
+    """c = max(0, max Re E + log|coeff|) over the sides coeff exp(E)."""
+    return max(0.0, *(float(E.real.max()) + math.log(abs(coeff)) for coeff, E in sides))
+
+
+def _relative_defect(lhs, rhs, c: float) -> float:
+    """max|lhs - rhs| / (1 + max|lhs|) for two sides given times e^{-c}
+    (``_shift``), evaluated as max|lhs' - rhs'| / (e^{-c} + max|lhs'|).
     No entry then exceeds 1, so exponents past exp's overflow (709) are fine.
     """
-    c = max(
-        0.0,
-        float(EL.real.max()) + math.log(abs(lhs_coeff)),
-        float(ER.real.max()) + math.log(abs(rhs_coeff)),
-    )
-    lhs = lhs_coeff * np.exp(EL - c)
-    rhs = rhs_coeff * np.exp(ER - c)
     worst = float(np.max(np.abs(lhs - rhs)))
     denom = math.exp(-c) + float(np.max(np.abs(lhs)))
     ratio = worst / denom if denom > 0 else math.inf
@@ -247,10 +259,13 @@ def pairing_defect(S: WcSymbol, T: WcSymbol, points) -> float:
     Z = _stack_points(points, S.dim)
     a_S, P_S = act_on_kernels(S, Z)
     a_T, P_T = act_on_kernels(T, Z)
-    return _relative_defect(
-        S.theta, _log_gram(a_S, P_S, 0.0, Z),
-        np.conj(T.theta), _log_gram(0.0, Z, a_T, P_T),
+    sides = (
+        (S.theta, _log_gram(a_S, P_S, 0.0, Z)),
+        (np.conj(T.theta), _log_gram(0.0, Z, a_T, P_T)),
     )
+    c = _shift(*sides)
+    lhs, rhs = (coeff * np.exp(E - c) for coeff, E in sides)
+    return _relative_defect(lhs, rhs, c)
 
 
 def adjoint_defect(S: WcSymbol, points) -> float:
@@ -272,7 +287,10 @@ def j_symmetry_defect(S: WcSymbol, J: ConjugationParams, points) -> float:
     a_J, P_J = apply_to_kernels(J, Z)
     E = _log_gram(a_S, P_S, a_J, P_J)
     coeff = S.theta * np.conj(J.c)
-    return _relative_defect(coeff, E, coeff, E.T)
+    # the other side, coeff exp(E^t), is this one's transpose, entry for entry
+    c = _shift((coeff, E))
+    lhs = coeff * np.exp(E - c)
+    return _relative_defect(lhs, lhs.T, c)
 
 
 # --- truncated section engine ------------------------------------------------

@@ -405,3 +405,34 @@ def rand_spectrum(rng, d, kind):
 
 
 SPECTRUM_KINDS = ("random", "repeated", "perturbed", "conjugate_pairs", "integer")
+
+
+def ref_stack_points(points, dim):
+    """``oracle._stack_points`` as it was before the one-pass check: every
+    point through ``as_vector``, then at least two of them."""
+    from fockwc.linalg import as_vector
+
+    pts = [as_vector(p, dim, "point") for p in points]
+    if len(pts) < 2:
+        raise ValueError("need at least two kernel points")
+    return np.array(pts)
+
+
+def ref_relative_defect(lhs_coeff, EL, rhs_coeff, ER):
+    """The kernel defect with one exponential per side, as it was before
+    ``j_symmetry_defect`` shared one between its sides: max|lhs - rhs| /
+    (e^{-c} + max|lhs|) on lhs = lhs_coeff exp(EL - c) and
+    rhs = rhs_coeff exp(ER - c), c = max(0, max Re E + log|coeff|)."""
+    c = max(
+        0.0,
+        float(EL.real.max()) + math.log(abs(lhs_coeff)),
+        float(ER.real.max()) + math.log(abs(rhs_coeff)),
+    )
+    lhs = lhs_coeff * np.exp(EL - c)
+    rhs = rhs_coeff * np.exp(ER - c)
+    worst = float(np.max(np.abs(lhs - rhs)))
+    denom = math.exp(-c) + float(np.max(np.abs(lhs)))
+    ratio = worst / denom if denom > 0 else math.inf
+    if not math.isfinite(ratio):
+        raise ValueError("kernel defect is not finite")
+    return ratio

@@ -182,3 +182,10 @@ def test_negative_robustness_single_condition_flips():
     bad = WcSymbol(Sj.theta, Sj.ell + bump, Sj.Q, Sj.q)
     ok, _ = check_J_selfadjoint(bad, J, TOL)
     assert not ok
+
+
+def test_check_normal_bounded_overflow_names_the_commutator():
+    # Q Q* overflows at Q = [[1e307]]: a named ValueError, not a RuntimeWarning
+    S = WcSymbol(1.0, [1e307], [[1e307]], [1e307])
+    with pytest.raises(ValueError, match=r"Q Q\* - Q\* Q contains non-finite entries"):
+        check_normal_bounded(S)

@@ -380,3 +380,15 @@ def test_complete_unitary_extends_orthonormal_columns(n, k):
     assert op_norm(G @ adj(G) - np.eye(n)) <= 1e-13
     for j, c in enumerate(cols):
         assert np.array_equal(G[:, j], c)
+
+
+def test_find_conjugation_normal_overflow_names_the_commutator():
+    S = WcSymbol(1.0, [1e307], [[1e307]], [1e307])
+    with pytest.raises(ValueError, match=r"Q Q\* - Q\* Q contains non-finite entries"):
+        find_conjugation_normal(S)
+
+
+def test_validate_overflow_names_the_unitarity_defect():
+    # A A* overflows at A = [[1e200]]: a named ValueError, not a RuntimeWarning
+    with pytest.raises(ValueError, match=r"A A\* - I contains non-finite entries"):
+        validate(ConjugationParams([[1e200]], [0.0], 1.0))

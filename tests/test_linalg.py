@@ -21,6 +21,7 @@ from fockwc import (
 from fockwc.linalg import (
     _default_group_tol,
     _eigenvalue_groups,
+    _op_norms,
     _scaling_power,
     _taylor_degree,
     expm_phi12,
@@ -217,6 +218,46 @@ def test_op_norm_values():
     assert abs(op_norm(np.eye(3)) - 1.0) < 1e-12
     assert abs(op_norm(np.diag([2.0, 1.0])) - 2.0) < 1e-12
     assert abs(op_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 9, 32])
+def test_stacked_norms_equal_op_norm(d):
+    # one SVD call over a stack gives each matrix's op_norm bit for bit,
+    # in pairs as the checks stack them and all at once
+    rng = np.random.default_rng(100 + d)
+    mats = [crandn(rng, d, d, scale=10.0 ** rng.integers(-3, 4)) for _ in range(200)]
+    mats[:4] = [np.zeros((d, d)), np.eye(d), rng.standard_normal((d, d)), mats[4] - mats[4].T]
+    want = [op_norm(M) for M in mats]
+    assert _op_norms({str(i): M for i, M in enumerate(mats)}) == want
+    for i in range(0, len(mats), 2):
+        assert _op_norms({"a": mats[i], "b": mats[i + 1]}) == want[i:i + 2]
+
+
+def test_stacked_norms_name_the_non_finite_matrix():
+    with pytest.raises(ValueError, match="second contains non-finite entries"):
+        _op_norms({"first": np.eye(2), "second": np.array([[1.0, np.inf], [0.0, 1.0]])})
+
+
+# products and differences that overflow at these entries: each call raises
+# a ValueError naming the quantity, never a RuntimeWarning
+_BIG = [[1e308, 1e308], [-1e308, 1e308]]
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: normal_eig([[1e307]]), r"M M\* - M\* M"),
+        (lambda: is_normal([[1e307]]), r"M M\* - M\* M"),
+        (lambda: is_unitary([[1e200]]), r"M M\* - I"),
+        (lambda: herm_eig(_BIG), r"M - M\*"),
+        (lambda: is_hermitian(_BIG), r"M - M\*"),
+        (lambda: is_symmetric(_BIG), r"M - M\^t"),
+    ],
+    ids=["normal_eig", "is_normal", "is_unitary", "herm_eig", "is_hermitian", "is_symmetric"],
+)
+def test_overflowing_residual_raises_naming_it(call, name):
+    with pytest.raises(ValueError, match=name + " contains non-finite entries"):
+        call()
 
 
 def test_op_norm_unitary_invariance():

@@ -31,7 +31,8 @@ from fockwc import (
 from fockwc import oracle
 from fockwc.oracle import MAX_TRUNC_BASIS, _tables
 from fockwc.polynomials import MPoly
-from fockwc.symbols import act_on_kernel
+from fockwc.conjugation import apply_to_kernels
+from fockwc.symbols import act_on_kernel, act_on_kernels
 from helpers import (
     combo_termwise_dev,
     crandn,
@@ -45,6 +46,8 @@ from helpers import (
     ref_j_symmetry_defect,
     ref_column_section,
     ref_pairing_defect,
+    ref_relative_defect,
+    ref_stack_points,
     ref_wc_section,
 )
 
@@ -173,6 +176,96 @@ def test_defects_match_per_pair_reference():
             got, want = defect(X, Y, pts), reference(X, Y, pts)
             assert (want > 1e-3) if sensitive else (want < 1e-12)
             assert abs(got - want) <= 1e-12 * want + 1e-14
+
+
+def _reference_defects(S, T, J, points):
+    """pairing_defect(S, T) and j_symmetry_defect(S, J) by the formula with
+    one exponential per side, on the same Gram exponents."""
+    Z = ref_stack_points(points, S.dim)
+    a_S, P_S = act_on_kernels(S, Z)
+    a_T, P_T = act_on_kernels(T, Z)
+    a_J, P_J = apply_to_kernels(J, Z)
+    E = oracle._log_gram(a_S, P_S, a_J, P_J)
+    coeff = S.theta * np.conj(J.c)
+    return (
+        ref_relative_defect(
+            S.theta, oracle._log_gram(a_S, P_S, 0.0, Z),
+            np.conj(T.theta), oracle._log_gram(0.0, Z, a_T, P_T),
+        ),
+        ref_relative_defect(coeff, E, coeff, E.T),
+    )
+
+
+def test_defects_equal_the_two_exponential_formula():
+    # one shared Gram exponential gives the same bits as one per side: on
+    # near-zero, sensitive and past-overflow inputs
+    rng = np.random.default_rng(63)
+    for k in range(60):
+        d = int(rng.integers(1, 6))
+        if k % 3 == 2:
+            S, pts = large_scale_symbol(rng, d)
+            J = find_conjugation_real_symmetric(S)
+        else:
+            S, J = rand_j_selfadjoint_pair(rng, d)
+            pts = rand_points(rng, d, 8, radius=1.0)
+            if k % 3 == 1:
+                S = WcSymbol(S.theta, S.ell + 0.1, S.Q, S.q)
+        for T in (adjoint_symbol(S), rand_symbol(rng, d)):
+            got = (pairing_defect(S, T, pts), j_symmetry_defect(S, J, pts))
+            assert got == _reference_defects(S, T, J, pts)
+
+
+def _well_formed_points():
+    rng = np.random.default_rng(64)
+    arrays = [crandn(rng, 3) for _ in range(5)]
+    return {
+        "arrays": (arrays, 3),
+        "lists": ([[complex(x) for x in a] for a in arrays], 3),
+        "ndarray": (np.array(arrays), 3),
+        "real lists": ([[1, 2.5], [0, -1], [3, 4]], 2),
+        "scalars at d = 1": ([0.5, 1j, -2.0], 1),
+        "one-entry arrays at d = 1": ([np.array([0.5]), np.array([1j])], 1),
+        "two points": (arrays[:2], 3),
+    }
+
+
+@pytest.mark.parametrize("name", list(_well_formed_points()))
+def test_stack_points_equals_the_per_point_loop(name):
+    points, d = _well_formed_points()[name]
+    got = oracle._stack_points(points, d)
+    want = ref_stack_points(points, d)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # a generator is read once, point by point
+    assert np.array_equal(oracle._stack_points(iter(list(points)), d), want)
+
+
+_MALFORMED_POINTS = {
+    "ragged": lambda: ([[1.0, 2.0], [3.0]], 2),
+    "wrong length": lambda: ([[1.0, 2.0], [3.0, 4.0]], 3),
+    "one point": lambda: ([[1.0, 2.0]], 2),
+    "zero points": lambda: ([], 2),
+    "empty point": lambda: ([[], []], 2),
+    "nan entry": lambda: ([[1.0, math.nan], [3.0, 4.0]], 2),
+    "inf entry": lambda: ([[1.0, 2.0], [3.0, math.inf]], 2),
+    "none entry": lambda: ([[1.0, None], [3.0, 4.0]], 2),
+    "non-numeric entry": lambda: ([[1.0, "x"], [3.0, 4.0]], 2),
+    "dict point": lambda: ([{"a": 1}, {"b": 2}], 1),
+    "huge integer": lambda: ([[10 ** 400, 0], [0, 0]], 2),
+    "nested point": lambda: ([[[1.0, 2.0]], [[3.0, 4.0]]], 2),
+    "scalar": lambda: (5.0, 1),
+    "generator": lambda: ((p for p in ([1.0, 2.0], [3.0, math.nan])), 2),
+    "generator of one": lambda: ((p for p in ([1.0, 2.0],)), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED_POINTS))
+def test_stack_points_errors_equal_the_per_point_loop(name):
+    make = _MALFORMED_POINTS[name]
+    with pytest.raises(Exception) as want:
+        ref_stack_points(*make())
+    with pytest.raises(Exception) as got:
+        oracle._stack_points(*make())
+    assert got.type is want.type and str(got.value) == str(want.value)
 
 
 @pytest.mark.filterwarnings("error")

@@ -194,6 +194,17 @@ def test_validate_J_conditions_nan_residual_fails():
     assert list(res) == ["AOmega_symmetric", "ell_condition", "first_order"]
 
 
+def test_validate_J_conditions_overflow_fails_without_a_warning():
+    # at Omega = [[1e307]], Omega* l* overflows: the NaN residual fails the
+    # verdict, and no RuntimeWarning escapes on the way
+    from fockwc import identity_conjugation
+
+    P = SemigroupParams([[1e307]], [1e307], [1e307], 0.0)
+    ok, res = validate_J_conditions(P, identity_conjugation(1))
+    assert math.isnan(res["ell_condition"]) and not ok
+    assert res["AOmega_symmetric"] == 0.0 and res["first_order"] == 0.0
+
+
 def test_generator_linearity():
     rng = np.random.default_rng(77)
     P = rand_semigroup_params(rng, 2)
