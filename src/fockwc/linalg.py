@@ -339,18 +339,12 @@ def herm_eig(M, group_tol: float | None = None) -> SpectralDecomposition:
     nrm, skew_nrm = _op_norms({"M": M, "M - M*": skew})
     if skew_nrm > 1e-12 * (1.0 + nrm):
         raise PreconditionError("herm_eig requires a Hermitian matrix")
-    w, V = np.linalg.eigh(0.5 * (M + adj(M)))
+    # halves first: M + M* overflows where M's entries are near the limit
+    w, V = np.linalg.eigh(0.5 * M + 0.5 * adj(M))
     gtol = _default_group_tol(nrm) if group_tol is None else float(group_tol)
-    groups: list[tuple[int, ...]] = []
-    current = [0]
-    for i in range(1, w.size):
-        if w[i] - w[i - 1] <= gtol:
-            current.append(i)
-        else:
-            groups.append(tuple(current))
-            current = [i]
-    groups.append(tuple(current))
-    return SpectralDecomposition(V, w.astype(np.complex128), tuple(groups))
+    cuts = _cuts(w, gtol)
+    groups = tuple(tuple(range(lo, hi)) for lo, hi in zip(cuts, cuts[1:]))
+    return SpectralDecomposition(V, w.astype(np.complex128), groups)
 
 
 def _eigenvalue_groups(eigs: np.ndarray, gtol: float) -> tuple[list[int], tuple]:
@@ -384,10 +378,17 @@ def _eigenvalue_groups(eigs: np.ndarray, gtol: float) -> tuple[list[int], tuple]
     return perm, tuple(groups)
 
 
+def _cuts(w: np.ndarray, gap: float) -> list[int]:
+    """Bounds 0, ..., len(w) of the maximal runs of ascending ``w`` whose
+    steps are at most ``gap``; any other step cuts, one that overflows too."""
+    with np.errstate(over="ignore"):
+        steps = w[1:] - w[:-1]
+    return [0, *((~(steps <= gap)).nonzero()[0] + 1).tolist(), w.size]
+
+
 def _runs(w: np.ndarray, gap: float) -> list[tuple[int, int]]:
-    """Index ranges [lo, hi) of the runs of two or more ascending values
-    ``w`` whose consecutive differences are at most ``gap``."""
-    cuts = [0, *((w[1:] - w[:-1] > gap).nonzero()[0] + 1).tolist(), w.size]
+    """Index ranges [lo, hi) of the runs of two or more values in ``_cuts``."""
+    cuts = _cuts(w, gap)
     return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
 
 

@@ -4,7 +4,9 @@ Engine one works on finite spans of reproducing kernels, where every inner
 product is exact scalar arithmetic through the reproducing property
 ``<K_w, K_z> = e^{<z, w>}``.  C_S and J map kernels to scaled kernels in
 closed form, so each kernel-span quantity is one Gram matrix exp(E) of an
-exponent matrix E.  The point set is checked once, as one finite (m, d)
+exponent matrix E.  A ``KernelCombo`` is two frozen arrays, coefficients
+and kernel points, so ``apply_symbol`` and ``apply_conjugation`` are one
+batch call each.  A defect checks its point set once, as one finite (m, d)
 array.  The defects are ratios: both sides share one shift e^{-c} that
 keeps every entry at most 1, so they stay finite wherever E is, far past
 |<q, w>| = 709 where e^{<q, w>} alone overflows.  The two sides of the
@@ -39,9 +41,9 @@ from itertools import groupby
 import numpy as np
 
 from . import jsonio
-from .conjugation import ConjugationParams, apply_to_kernel, apply_to_kernels, require_valid
+from .conjugation import ConjugationParams, apply_to_kernels, require_valid
 from .errors import DegreeCapError, PreconditionError
-from .linalg import as_vector, op_norm
+from .linalg import as_scalar, as_vector, freeze, op_norm
 from .polynomials import MPoly, mi_factorial, multi_indices
 from .symbols import ScaledKernel, WcSymbol, act_on_kernel, act_on_kernels, adjoint_symbol
 
@@ -82,78 +84,76 @@ LAYERED_MAX_ROWS = 900
 
 @dataclass(frozen=True)
 class KernelCombo:
-    """Finite linear combination of reproducing kernels, sum_i c_i K_{z_i}.
-
-    The empty combination is the zero function.
-    """
+    """Finite linear combination of reproducing kernels, sum_i c_i K_{z_i},
+    held as two frozen arrays, ``coeffs`` (m,) and ``points`` (m, d), checked
+    once here; m = 0 is the zero function.  Arithmetic on them never warns:
+    an overflowing coefficient fails that check, which names it."""
 
     dim: int
-    terms: tuple[ScaledKernel, ...] = ()
+    coeffs: np.ndarray
+    points: np.ndarray
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be positive")
-        terms = tuple(self.terms)
-        for t in terms:
-            if not isinstance(t, ScaledKernel):
-                raise ValueError("terms must be ScaledKernel instances")
-            if t.dim != self.dim:
-                raise ValueError("kernel point dimension mismatch")
-        object.__setattr__(self, "terms", terms)
+        coeffs = np.asarray(self.coeffs, dtype=np.complex128)
+        points = np.asarray(self.points, dtype=np.complex128)
+        if coeffs.ndim != 1 or points.shape != (coeffs.size, self.dim):  # never reshaped to fit
+            raise ValueError(
+                f"kernel combo shapes {coeffs.shape}, {points.shape} != (m,), (m, {self.dim})"
+            )
+        for name, arr in (("coefficients", coeffs), ("points", points)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"kernel combo {name} are not finite")
+        freeze(self, coeffs=coeffs, points=points)
 
     @classmethod
     def from_pairs(cls, dim: int, pairs) -> "KernelCombo":
-        return cls(dim, tuple(ScaledKernel(c, p) for c, p in pairs))
+        pairs = list(pairs)
+        coeffs = np.array([as_scalar(c, "coeff") for c, _ in pairs], dtype=np.complex128)
+        points = [as_vector(p, dim, "point") for _, p in pairs]
+        # every row has length dim; the reshape only gives m = 0 its (0, d) shape
+        return cls(dim, coeffs, np.reshape(points, (len(pairs), dim)))
+
+    @property
+    def terms(self) -> tuple[ScaledKernel, ...]:
+        return tuple(ScaledKernel(c, p) for c, p in zip(self.coeffs, self.points))
 
     def scale(self, a) -> "KernelCombo":
-        return KernelCombo(
-            self.dim,
-            tuple(ScaledKernel(a * t.coeff, t.point) for t in self.terms),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            return KernelCombo(self.dim, complex(a) * self.coeffs, self.points)
 
     def __add__(self, other: "KernelCombo") -> "KernelCombo":
         if self.dim != other.dim:
             raise ValueError("kernel combo dimensions differ")
-        return KernelCombo(self.dim, self.terms + other.terms)
+        coeffs = np.concatenate([self.coeffs, other.coeffs])
+        return KernelCombo(self.dim, coeffs, np.concatenate([self.points, other.points]))
 
     def __sub__(self, other: "KernelCombo") -> "KernelCombo":
         return self + other.scale(-1.0)
 
-    @property
-    def coeffs(self) -> np.ndarray:
-        return np.array([t.coeff for t in self.terms], dtype=np.complex128)
-
-    @property
-    def points(self) -> np.ndarray:
-        """Kernel points as the rows of an (m, d) array."""
-        return np.array([t.point for t in self.terms]).reshape(-1, self.dim)
-
     def __call__(self, x) -> complex:
-        return complex(sum(t(x) for t in self.terms))
+        """sum_i c_i e^{<x, z_i>}, the reproducing property's <F, K_x>."""
+        return inner(self, KernelCombo(self.dim, [1.0], [as_vector(x, self.dim, "x")]))
 
     def to_json(self) -> dict:
-        return {
-            "d": self.dim,
-            "terms": [
-                {
-                    "coeff": jsonio.complex_to_json(t.coeff),
-                    "point": jsonio.vector_to_json(t.point),
-                }
-                for t in self.terms
-            ],
-        }
+        terms = [
+            {"coeff": jsonio.complex_to_json(c), "point": jsonio.vector_to_json(p)}
+            for c, p in zip(self.coeffs, self.points)
+        ]
+        return {"d": self.dim, "terms": terms}
 
     @classmethod
     def from_json(cls, obj: dict) -> "KernelCombo":
-        d, terms = jsonio.read_fields(
+        d, pairs = jsonio.read_fields(
             obj, "kernel combo", defaults={"terms": []}, d=int, terms=_kernel_terms_from_json
         )
-        return cls(d, tuple(terms))
+        return cls.from_pairs(d, pairs)
 
 
-def _kernel_terms_from_json(terms) -> list[ScaledKernel]:
+def _kernel_terms_from_json(terms) -> list[tuple[complex, np.ndarray]]:
     fields = dict(coeff=jsonio.complex_from_json, point=jsonio.vector_from_json)
-    return [ScaledKernel(*jsonio.read_fields(t, "kernel term", **fields)) for t in terms]
+    return [tuple(jsonio.read_fields(t, "kernel term", **fields)) for t in terms]
 
 
 def _log_gram(a, X, b, Y) -> np.ndarray:
@@ -189,25 +189,22 @@ def combo_norm(F: KernelCombo) -> float:
 
 
 def apply_symbol(S: WcSymbol, F: KernelCombo) -> KernelCombo:
-    """Apply C_S termwise: c_i K_{w_i} -> c_i * act_on_kernel(S, w_i)."""
+    """Apply C_S termwise, c_i K_{w_i} -> c_i C_S K_{w_i}, in one batch."""
     if S.dim != F.dim:
         raise ValueError("symbol and combo dimensions differ")
-    out = []
-    for t in F.terms:
-        img = act_on_kernel(S, t.point)
-        out.append(ScaledKernel(t.coeff * img.coeff, img.point))
-    return KernelCombo(F.dim, tuple(out))
+    expo, points = act_on_kernels(S, F.points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return KernelCombo(F.dim, F.coeffs * (S.theta * np.exp(expo)), points)
 
 
 def apply_conjugation(J: ConjugationParams, F: KernelCombo) -> KernelCombo:
-    """Apply J termwise; antilinearity conjugates the coefficients."""
+    """Apply J termwise in one batch, J validated once; antilinear in F."""
     if J.dim != F.dim:
         raise ValueError("conjugation and combo dimensions differ")
-    out = []
-    for t in F.terms:
-        img = apply_to_kernel(J, t.point)
-        out.append(ScaledKernel(np.conj(t.coeff) * img.coeff, img.point))
-    return KernelCombo(F.dim, tuple(out))
+    require_valid(J)
+    expo, points = apply_to_kernels(J, F.points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return KernelCombo(F.dim, np.conj(F.coeffs) * (J.c * np.exp(expo)), points)
 
 
 def _stack_points(points, dim: int) -> np.ndarray:

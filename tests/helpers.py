@@ -436,3 +436,35 @@ def ref_relative_defect(lhs_coeff, EL, rhs_coeff, ER):
     if not math.isfinite(ratio):
         raise ValueError("kernel defect is not finite")
     return ratio
+
+
+def ref_apply_symbol(S, F):
+    """``oracle.apply_symbol`` as it was before kernel combinations were
+    stored as arrays: one ``act_on_kernel`` per term."""
+    from fockwc import KernelCombo
+    from fockwc.symbols import act_on_kernel
+
+    pairs = []
+    for t in F.terms:
+        img = act_on_kernel(S, t.point)
+        pairs.append((t.coeff * img.coeff, img.point))
+    return KernelCombo.from_pairs(F.dim, pairs)
+
+
+def ref_apply_conjugation(J, F):
+    """``oracle.apply_conjugation`` as it was before kernel combinations
+    were stored as arrays: one ``apply_to_kernel`` (and so one validation
+    of J) per term."""
+    from fockwc import KernelCombo
+    from fockwc.conjugation import apply_to_kernel
+
+    pairs = []
+    for t in F.terms:
+        img = apply_to_kernel(J, t.point)
+        pairs.append((np.conj(t.coeff) * img.coeff, img.point))
+    return KernelCombo.from_pairs(F.dim, pairs)
+
+
+def ref_combo_value(F, x):
+    """``KernelCombo.__call__`` as it was: the sum of the term values."""
+    return complex(sum(t(x) for t in F.terms))

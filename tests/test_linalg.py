@@ -139,6 +139,34 @@ def test_herm_eig_rejects_non_hermitian():
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("kind", SPECTRUM_KINDS)
+def test_herm_eig_groups_are_the_runs_within_group_tol(kind):
+    # consecutive eigenvalues share a group exactly when their gap is at
+    # most the group tolerance
+    rng = np.random.default_rng(60 + SPECTRUM_KINDS.index(kind))
+    for d in (1, 2, 3, 8, 9):
+        U = rand_unitary(rng, d)
+        M = U @ np.diag(rand_spectrum(rng, d, kind).real) @ adj(U)
+        dec = herm_eig(M)
+        w, gtol = dec.eigenvalues.real, _default_group_tol(op_norm(M))
+        label = [j for j, g in enumerate(dec.groups) for _ in g]
+        assert [i for g in dec.groups for i in g] == list(range(d))
+        assert all((label[i] == label[i - 1]) == (w[i] - w[i - 1] <= gtol) for i in range(1, d))
+
+
+@pytest.mark.parametrize(
+    "diag, groups",
+    [([1e308, 1e308], ((0, 1),)), ([1e308, -1e308], ((0,), (1,)))],
+    ids=["sum-overflows", "gap-overflows"],
+)
+def test_herm_eig_near_the_overflow_limit(diag, groups):
+    # M + M* overflows at the first matrix, the gap 1e308 - (-1e308) at the
+    # second; neither may warn
+    dec = herm_eig(np.diag(diag))
+    assert dec.groups == groups
+    assert dec.eigenvalues.real.tolist() == sorted(diag)
+
+
 def test_normal_eig_diagonal_groups():
     dec = normal_eig(np.diag([1j, 1j, 2.0]))
     sizes = sorted(len(g) for g in dec.groups)

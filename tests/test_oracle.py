@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fockwc import (
+    ConjugationParams,
     DegreeCapError,
     KernelCombo,
     PreconditionError,
@@ -28,7 +30,7 @@ from fockwc import (
     trunc_conjugation_matrix,
     trunc_symbol_matrix,
 )
-from fockwc import oracle
+from fockwc import conjugation, oracle
 from fockwc.oracle import MAX_TRUNC_BASIS, _tables
 from fockwc.polynomials import MPoly
 from fockwc.conjugation import apply_to_kernels
@@ -43,6 +45,9 @@ from helpers import (
     rand_symbol,
     rand_unitary,
     rand_valid_conjugation,
+    ref_apply_conjugation,
+    ref_apply_symbol,
+    ref_combo_value,
     ref_j_symmetry_defect,
     ref_column_section,
     ref_pairing_defect,
@@ -121,6 +126,84 @@ def test_apply_conjugation_coordinate_case():
     for t_in, t_out in zip(F.terms, out.terms):
         assert abs(t_out.coeff - np.conj(t_in.coeff)) < 1e-15
         assert np.allclose(t_out.point, np.conj(t_in.point))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_kernel_combo_batch_calls_match_the_termwise_reference(d):
+    rng = np.random.default_rng(70 + d)
+    for m in (0, 1, 2, 6, 32):
+        F = rand_kernel_combo(rng, d, m)
+        S, J = rand_symbol(rng, d), rand_valid_conjugation(rng, d)
+        assert combo_termwise_dev(apply_symbol(S, F), ref_apply_symbol(S, F)) <= 1e-15
+        assert combo_termwise_dev(apply_conjugation(J, F), ref_apply_conjugation(J, F)) <= 1e-15
+        x = crandn(rng, d)
+        scale = 1.0 + sum(abs(t(x)) for t in F.terms)
+        assert abs(F(x) - ref_combo_value(F, x)) <= 1e-15 * scale
+
+
+# valid J for d = 1: A = -1 makes A conj(b) + b = 0 for real b, and
+# |c|^2 e^{b^2} = 1; at b = w = 30 the coefficient is c e^{<b, conj w>} = c e^900
+_FAR_J = ConjugationParams([[-1.0]], [30.0], math.exp(-450.0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: apply_symbol(WcSymbol(1.0, [0.0], [[1.0]], [30.0]), _combo(1, (1.0, [30.0]))),
+        lambda: apply_symbol(WcSymbol(1.0, [0.0], [[1.0]], [50.0]), _combo(1, (1e300, [1.0]))),
+        lambda: apply_conjugation(_FAR_J, _combo(1, (1.0, [0.0]), (1.0, [30.0]))),
+        lambda: _combo(1, (1.0, [30.0]))([30.0]),
+        lambda: _combo(1, (1e300, [1.0]), (1.0, [0.0]))([50.0]),
+    ],
+    ids=["symbol-exponent", "symbol-product", "conjugation-exponent", "value-exponent",
+         "value-product"],
+)
+def test_kernel_combo_overflow_raises_without_warning(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "coeffs, points, message",
+    [
+        (np.ones(3), np.zeros((2, 3)), "shapes"),  # reshaped to (3, 2) it would fit
+        (np.ones(2), np.zeros((3, 2)), "shapes"),
+        (np.ones((2, 1)), np.zeros((2, 2)), "shapes"),
+        (np.ones(2), np.zeros(4), "shapes"),
+        (np.array([1.0, np.nan]), np.zeros((2, 2)), "coefficients are not finite"),
+        (np.ones(2), np.array([[0.0, 0.0], [np.inf, 0.0]]), "points are not finite"),
+    ],
+    ids=["transposed", "lengths", "coeff-2d", "points-1d", "nan", "inf"],
+)
+def test_kernel_combo_constructor_rejects(coeffs, points, message):
+    with pytest.raises(ValueError, match=message):
+        KernelCombo(2, coeffs, points)
+
+
+def test_empty_kernel_combo():
+    F = KernelCombo(2, np.zeros(0), np.zeros((0, 2)))
+    G = KernelCombo.from_json(F.to_json())
+    assert F.to_json() == {"d": 2, "terms": []}
+    assert G.points.shape == (0, 2) and G.terms == ()
+    assert inner(G, G) == 0 and inner(G, _combo(2, (1.0, [0.5, 0.5]))) == 0
+    assert G([1.0, 2.0]) == 0
+
+
+def test_apply_conjugation_validates_j_once(monkeypatch):
+    calls = []
+    validate = conjugation.validate
+
+    def counting(J, tol=1e-9):
+        calls.append(J)
+        return validate(J, tol)
+
+    monkeypatch.setattr(conjugation, "validate", counting)
+    rng = np.random.default_rng(76)
+    J = rand_valid_conjugation(rng, 2)
+    apply_conjugation(J, rand_kernel_combo(rng, 2, 6))
+    assert len(calls) == 1
 
 
 def test_adjoint_defect_identity_and_random():
