@@ -380,10 +380,10 @@ def _eigenvalue_groups(eigs: np.ndarray, gtol: float) -> tuple[list[int], tuple]
 
 def _cuts(w: np.ndarray, gap: float) -> list[int]:
     """Bounds 0, ..., len(w) of the maximal runs of ascending ``w`` whose
-    steps are at most ``gap``; any other step cuts, one that overflows too."""
-    with np.errstate(over="ignore"):
-        steps = w[1:] - w[:-1]
-    return [0, *((~(steps <= gap)).nonzero()[0] + 1).tolist(), w.size]
+    steps are at most ``gap``; any other step cuts.  Halves are compared,
+    so no step overflows; halving is exact outside the subnormal range."""
+    steps = 0.5 * w[1:] - 0.5 * w[:-1]
+    return [0, *((~(steps <= 0.5 * gap)).nonzero()[0] + 1).tolist(), w.size]
 
 
 def _runs(w: np.ndarray, gap: float) -> list[tuple[int, int]]:

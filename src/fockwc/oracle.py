@@ -42,6 +42,7 @@ import numpy as np
 
 from . import jsonio
 from .conjugation import ConjugationParams, apply_to_kernels, require_valid
+from .conjugation import apply_to_kernel  # noqa: F401  wrapped here by benchmarks/tracing.py
 from .errors import DegreeCapError, PreconditionError
 from .linalg import as_scalar, as_vector, freeze, op_norm
 from .polynomials import MPoly, mi_factorial, multi_indices
@@ -99,9 +100,8 @@ class KernelCombo:
         coeffs = np.asarray(self.coeffs, dtype=np.complex128)
         points = np.asarray(self.points, dtype=np.complex128)
         if coeffs.ndim != 1 or points.shape != (coeffs.size, self.dim):  # never reshaped to fit
-            raise ValueError(
-                f"kernel combo shapes {coeffs.shape}, {points.shape} != (m,), (m, {self.dim})"
-            )
+            shapes = f"{coeffs.shape}, {points.shape} != (m,), (m, {self.dim})"
+            raise ValueError(f"kernel combo shapes {shapes}")
         for name, arr in (("coefficients", coeffs), ("points", points)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"kernel combo {name} are not finite")
@@ -109,11 +109,12 @@ class KernelCombo:
 
     @classmethod
     def from_pairs(cls, dim: int, pairs) -> "KernelCombo":
+        if dim < 1:  # first: every point is checked against it
+            raise ValueError("dimension must be positive")
         pairs = list(pairs)
         coeffs = np.array([as_scalar(c, "coeff") for c, _ in pairs], dtype=np.complex128)
-        points = [as_vector(p, dim, "point") for _, p in pairs]
-        # every row has length dim; the reshape only gives m = 0 its (0, d) shape
-        return cls(dim, coeffs, np.reshape(points, (len(pairs), dim)))
+        points = [as_vector(p, dim, "point") for _, p in pairs]  # each of length dim
+        return cls(dim, coeffs, np.reshape(points, (len(pairs), dim)))  # (0, d) at m = 0
 
     @property
     def terms(self) -> tuple[ScaledKernel, ...]:

@@ -182,6 +182,13 @@ def test_kernel_combo_constructor_rejects(coeffs, points, message):
         KernelCombo(2, coeffs, points)
 
 
+@pytest.mark.parametrize("d", [0, -1])
+@pytest.mark.parametrize("terms", [[], [{"coeff": [1.0, 0.0], "point": [[0.5, 0.0]]}]])
+def test_kernel_combo_from_json_rejects_dimension_first(d, terms):
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        KernelCombo.from_json({"d": d, "terms": terms})
+
+
 def test_empty_kernel_combo():
     F = KernelCombo(2, np.zeros(0), np.zeros((0, 2)))
     G = KernelCombo.from_json(F.to_json())
