@@ -30,6 +30,8 @@ from .linalg import (
     as_matrix,
     as_scalar,
     as_vector,
+    derived,
+    fields_equal,
     freeze,
     herm_eig,
     normal_eig,
@@ -52,13 +54,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugationParams:
     """Parameters (A, b, c) of the candidate conjugation J_{A,b,c}."""
 
     A: np.ndarray
     b: np.ndarray
     c: complex
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         A = as_matrix(self.A, name="A")
@@ -92,25 +96,31 @@ def identity_conjugation(d: int) -> ConjugationParams:
     return ConjugationParams(np.eye(d), np.zeros(d), 1.0)
 
 
-def validate(J: ConjugationParams, tol: float = 1e-9) -> tuple[bool, dict]:
-    """Check the three conjugation conditions; residuals are absolute.
-
-    Residual 1 covers condition (i) as max(unitarity, symmetry) defect of A,
-    residual 2 is ||A conj(b) + b||, residual 3 is | |c|^2 e^{|b|^2} - 1 |,
-    evaluated as |expm1(2 log|c| + |b|^2)| so that tiny |c| against large
-    |b| neither underflows nor overflows (c = 0 gives 1, not NaN).
-    """
+def _validity_residuals(J: ConjugationParams) -> dict:
     eye = np.eye(J.dim)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_scale = 2.0 * np.log(abs(J.c)) + np.linalg.norm(J.b) ** 2
         scalar = abs(float(np.expm1(log_scale)))
         defects = {"A A* - I": J.A @ adj(J.A) - eye, "A - A^t": J.A - J.A.T}
         vector = float(np.linalg.norm(J.A @ np.conj(J.b) + J.b))
-    residuals = {
+    return {
         "matrix": max(_op_norms(defects)),
         "vector": vector,
         "scalar": scalar,
     }
+
+
+def validate(J: ConjugationParams, tol: float = 1e-9) -> tuple[bool, dict]:
+    """Check the three conjugation conditions; residuals are absolute.
+
+    Residual 1 covers condition (i) as max(unitarity, symmetry) defect of A,
+    residual 2 is ||A conj(b) + b||, residual 3 is | |c|^2 e^{|b|^2} - 1 |,
+    evaluated as |expm1(2 log|c| + |b|^2)| so that tiny |c| against large
+    |b| neither underflows nor overflows (c = 0 gives 1, not NaN).  The
+    residuals do not depend on ``tol``: they are computed once per ``J``
+    and each call compares a copy of them with its own ``tol``.
+    """
+    residuals = dict(derived(J, "_validity_residuals", _validity_residuals))
     return residuals_within(residuals, tol), residuals
 
 

@@ -38,6 +38,7 @@ group_tol, ordered by their mean.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -50,6 +51,8 @@ __all__ = [
     "as_vector",
     "as_matrix",
     "freeze",
+    "fields_equal",
+    "derived",
     "pairing",
     "adj",
     "op_norm",
@@ -129,11 +132,36 @@ def as_matrix(M, dim: int | None = None, name: str = "matrix") -> np.ndarray:
 
 
 def freeze(instance, **fields) -> None:
-    """Store validated fields on a frozen dataclass, with arrays read-only."""
+    """Store validated fields on a frozen dataclass, each array as a
+    read-only copy with the same memory layout: the caller's array stays
+    writable, and no later write to it or to its base reaches the value."""
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+            value = value.copy(order="K")
+            value.setflags(write=False)
         object.__setattr__(instance, name, value)
+
+
+def fields_equal(self, other) -> bool:
+    """``__eq__`` of the frozen value types: same type and every dataclass
+    field equal, arrays by ``np.array_equal``; what ``derived`` caches
+    takes no part."""
+    if type(self) is not type(other):
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in dataclasses.fields(self))
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
+def derived(instance, key: str, compute):
+    """``compute(instance)`` for a frozen value, computed on first use and
+    kept in its ``__dict__`` under ``key``, outside the dataclass fields,
+    for the life of the instance.  Threads that race on first use each
+    compute the same value, and one of them is kept."""
+    try:
+        return instance.__dict__[key]
+    except KeyError:
+        value = instance.__dict__[key] = compute(instance)
+        return value
 
 
 def pairing(u, v) -> complex:
@@ -299,7 +327,7 @@ def phi2(M, tol: float = 1e-14) -> np.ndarray:
     return phi12(M, tol)[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Unitary diagonalization with eigenvalues clustered into groups.
 
@@ -311,6 +339,8 @@ class SpectralDecomposition:
     unitary: np.ndarray
     eigenvalues: np.ndarray
     groups: tuple[tuple[int, ...], ...]
+
+    __eq__ = fields_equal
 
     @property
     def dim(self) -> int:

@@ -44,7 +44,7 @@ from . import jsonio
 from .conjugation import ConjugationParams, apply_to_kernels, require_valid
 from .conjugation import apply_to_kernel  # noqa: F401  wrapped here by benchmarks/tracing.py
 from .errors import DegreeCapError, PreconditionError
-from .linalg import as_scalar, as_vector, freeze, op_norm
+from .linalg import as_scalar, as_vector, fields_equal, freeze, op_norm
 from .polynomials import MPoly, mi_factorial, multi_indices
 from .symbols import ScaledKernel, WcSymbol, act_on_kernel, act_on_kernels, adjoint_symbol
 
@@ -83,7 +83,7 @@ LAYERED_MAX_ROWS = 900
 # --- kernel span engine ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelCombo:
     """Finite linear combination of reproducing kernels, sum_i c_i K_{z_i},
     held as two frozen arrays, ``coeffs`` (m,) and ``points`` (m, d), checked
@@ -93,6 +93,8 @@ class KernelCombo:
     dim: int
     coeffs: np.ndarray
     points: np.ndarray
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         if self.dim < 1:

@@ -31,7 +31,8 @@ import numpy as np
 from . import jsonio
 from .conjugation import ConjugationParams, require_valid
 from .linalg import (
-    adj, as_matrix, as_scalar, as_vector, expm_phi12, freeze, op_norm, pairing, residuals_within,
+    adj, as_matrix, as_scalar, as_vector, expm_phi12, fields_equal, freeze, op_norm, pairing,
+    residuals_within,
 )
 # unused here, but kept as module attributes that benchmarks/tracing.py wraps
 from .linalg import expm, phi12  # noqa: F401
@@ -52,7 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SemigroupParams:
     """Data (Omega, q*, l*, theta*) generating the symbol family."""
 
@@ -60,6 +61,8 @@ class SemigroupParams:
     q_star: np.ndarray
     ell_star: np.ndarray
     theta_star: complex
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         Omega = as_matrix(self.Omega, name="Omega")

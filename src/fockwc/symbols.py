@@ -26,7 +26,9 @@ import numpy as np
 
 from . import jsonio
 from .errors import PreconditionError
-from .linalg import adj, as_matrix, as_scalar, as_vector, freeze, is_unitary, pairing
+from .linalg import (
+    adj, as_matrix, as_scalar, as_vector, fields_equal, freeze, is_unitary, pairing,
+)
 
 __all__ = [
     "ScaledKernel",
@@ -59,12 +61,14 @@ def _times_exp(c: complex, expo: complex, what: str) -> complex:
     raise ValueError(f"{what} is not finite: exponent {expo:.6g}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaledKernel:
     """A scalar multiple of one reproducing kernel: coeff * K_point."""
 
     coeff: complex
     point: np.ndarray
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         coeff = as_scalar(self.coeff, "coeff")
@@ -80,7 +84,7 @@ class ScaledKernel:
         return _times_exp(self.coeff, pairing(x, self.point), "kernel value")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WcSymbol:
     """Symbol (theta, ell, Q, q) of a weighted composition operator.
 
@@ -92,6 +96,8 @@ class WcSymbol:
     ell: np.ndarray
     Q: np.ndarray
     q: np.ndarray
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         theta = as_scalar(self.theta, "theta")
@@ -180,12 +186,12 @@ def adjoint_symbol(S: WcSymbol) -> WcSymbol:
     The adjoint acts on kernels by C* K_z = conj(psi(z)) K_{phi(z)}, and this
     quadruple is the unique symbol realizing that action.
     """
-    return WcSymbol(np.conj(S.theta), S.q.copy(), adj(S.Q), S.ell.copy())
+    return WcSymbol(np.conj(S.theta), S.q, adj(S.Q), S.ell)
 
 
 def negate_theta(S: WcSymbol) -> WcSymbol:
     """Same symbol with the weight scalar negated (for skew symmetry tests)."""
-    return WcSymbol(-S.theta, S.ell.copy(), S.Q.copy(), S.q.copy())
+    return WcSymbol(-S.theta, S.ell, S.Q, S.q)
 
 
 def unitary_similarity(S: WcSymbol, U, V) -> WcSymbol:
