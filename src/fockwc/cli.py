@@ -57,9 +57,11 @@ def _tolerance(text: str) -> float:
 
 
 def _load_points(path: str):
-    (points,) = jsonio.read_fields(
-        _load_json(path), "points", points=lambda ps: [jsonio.vector_from_json(p) for p in ps]
+    points, d = jsonio.read_fields(
+        _load_json(path), "points", defaults={"d": None},
+        points=lambda ps: [jsonio.vector_from_json(p) for p in ps], d=int,
     )
+    jsonio.check_dim("points", d, *(p.size for p in points))
     return points
 
 

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jsonio
+from .jsonio import COMPLEX, MATRIX, VECTOR, Record
 from .errors import NotApplicableError, PreconditionError
 from .linalg import (
-    _op_norms,
+    _residual_norms,
     adj,
     as_matrix,
     as_scalar,
@@ -55,7 +55,7 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class ConjugationParams:
+class ConjugationParams(Record):
     """Parameters (A, b, c) of the candidate conjugation J_{A,b,c}."""
 
     A: np.ndarray
@@ -63,6 +63,7 @@ class ConjugationParams:
     c: complex
 
     __eq__ = fields_equal
+    _JSON = ("conjugation", {"A": MATRIX, "b": VECTOR, "c": COMPLEX})
 
     def __post_init__(self):
         A = as_matrix(self.A, name="A")
@@ -72,24 +73,6 @@ class ConjugationParams:
     def dim(self) -> int:
         return self.b.size
 
-    def to_json(self) -> dict:
-        return {
-            "d": self.dim,
-            "A": jsonio.matrix_to_json(self.A),
-            "b": jsonio.vector_to_json(self.b),
-            "c": jsonio.complex_to_json(self.c),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ConjugationParams":
-        A, b, c, d = jsonio.read_fields(
-            obj, "conjugation", defaults={"d": None}, A=jsonio.matrix_from_json,
-            b=jsonio.vector_from_json, c=jsonio.complex_from_json, d=int,
-        )
-        if d is not None and d != b.size:
-            raise ValueError("conjugation JSON has inconsistent dimension")
-        return cls(A, b, c)
-
 
 def identity_conjugation(d: int) -> ConjugationParams:
     """Coordinatewise conjugation f -> conj(f(conj(z))): (I, 0, 1)."""
@@ -97,14 +80,12 @@ def identity_conjugation(d: int) -> ConjugationParams:
 
 
 def _validity_residuals(J: ConjugationParams) -> dict:
-    eye = np.eye(J.dim)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_scale = 2.0 * np.log(abs(J.c)) + np.linalg.norm(J.b) ** 2
         scalar = abs(float(np.expm1(log_scale)))
-        defects = {"A A* - I": J.A @ adj(J.A) - eye, "A - A^t": J.A - J.A.T}
         vector = float(np.linalg.norm(J.A @ np.conj(J.b) + J.b))
     return {
-        "matrix": max(_op_norms(defects)),
+        "matrix": max(_residual_norms(J.A, "A", "X X* - I", "X - X^t")),
         "vector": vector,
         "scalar": scalar,
     }
@@ -171,15 +152,17 @@ def conjugate_by_J(S: WcSymbol, J: ConjugationParams) -> WcSymbol:
     if S.dim != J.dim:
         raise ValueError("symbol and conjugation dimensions differ")
     A, b, c = J.A, J.b, J.c
-    AQbar = np.conj(A @ S.Q)
-    Qp = AQbar @ A
-    qp = AQbar @ b + np.conj(A @ S.q) + np.conj(b)
-    lp = adj(A) @ np.conj(S.ell) + adj(A) @ S.Q.T @ b + np.conj(b)
-    expo = (
-        np.dot(S.ell, b)
-        + np.dot(np.conj(b), np.conj(S.Q) @ b)
-        + np.conj(np.dot(S.q, b))
-    )
+    # overflow is rejected by name in _times_exp or WcSymbol, never warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        AQbar = np.conj(A @ S.Q)
+        Qp = AQbar @ A
+        qp = AQbar @ b + np.conj(A @ S.q) + np.conj(b)
+        lp = adj(A) @ np.conj(S.ell) + adj(A) @ S.Q.T @ b + np.conj(b)
+        expo = (
+            np.dot(S.ell, b)
+            + np.dot(np.conj(b), np.conj(S.Q) @ b)
+            + np.conj(np.dot(S.q, b))
+        )
     theta_p = _times_exp(abs(c) ** 2 * S.theta.conjugate(), complex(expo), "theta of J C J")
     return WcSymbol(theta_p, lp, Qp, qp)
 

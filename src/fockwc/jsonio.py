@@ -3,6 +3,10 @@
 Complex numbers are two-element arrays ``[re, im]``, vectors are lists of
 those, and matrices are row-major nested lists.  The encoding is fixed so
 files round-trip bit-identically and diff cleanly.
+
+A parameter pack (symbol, conjugation, semigroup) is a ``Record``, coded
+from one table of its fields.  Its files and points files share one rule:
+``"d"`` may be omitted, and when present must equal the decoded dimension.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import numbers
 import numpy as np
 
 __all__ = [
+    "Record", "records", "check_dim", "COMPLEX", "VECTOR", "MATRIX",
     "read_fields",
     "complex_to_json",
     "complex_from_json",
@@ -49,6 +54,17 @@ def read_fields(obj, kind: str, defaults=None, **decoders) -> list:
     return values
 
 
+def records(kind: str, **decoders):
+    """Decoder of a JSON list of objects: ``read_fields`` of each item."""
+    return lambda items: [read_fields(item, kind, **decoders) for item in items]
+
+
+def check_dim(kind: str, d, *dims: int) -> None:
+    """The ``"d"`` rule: ``d``, None when absent, equals each of ``dims``."""
+    if d is not None and any(n != d for n in dims):
+        raise ValueError(f"{kind} JSON has inconsistent dimension")
+
+
 def complex_from_json(obj, name: str = "complex") -> complex:
     if not (
         isinstance(obj, (list, tuple))
@@ -82,3 +98,26 @@ def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
     if any(r.size != len(rows) for r in rows):
         raise ValueError(f"{name} must be square, row-major")
     return np.array(rows, dtype=np.complex128)
+
+
+COMPLEX = (complex_to_json, complex_from_json)
+VECTOR = (vector_to_json, vector_from_json)
+MATRIX = (matrix_to_json, matrix_from_json)
+
+
+class Record:
+    """``to_json``/``from_json`` from the class table ``_JSON = (kind,
+    {field: (encode, decode)})``, fields in constructor order, and ``dim``."""
+
+    def to_json(self) -> dict:
+        fields = self._JSON[1]
+        return {"d": self.dim, **{k: enc(getattr(self, k)) for k, (enc, _) in fields.items()}}
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        kind, fields = cls._JSON
+        decoders = {k: dec for k, (_, dec) in fields.items()}
+        *values, d = read_fields(obj, kind, defaults={"d": None}, **decoders, d=int)
+        value = cls(*values)
+        check_dim(kind, d, value.dim)
+        return value

@@ -15,9 +15,11 @@ exponential with the companion phi-functions
 
 grouped eigendecompositions for Hermitian and normal matrices, the operator
 norm, and tolerance-aware structure predicates.  All functions are pure and
-never mutate their inputs.  A check that needs the norms of several
-residual matrices takes them from one SVD call on their stack, and a
-residual that overflows raises ``ValueError`` naming it.
+never mutate their inputs.  Every structure residual of a matrix X comes
+from one table (X, X - X*, X - X^t, X^t - X, X X* - X* X, X X* - I, X* X - I): a
+check names its forms and its matrix, ``_residual_norms(Q, "Q", "X - X*")``,
+gets their norms from one SVD call on their stack, without a warning, and
+an overflowing residual raises ``ValueError`` naming it, as ``"Q - Q*"``.
 
 The exponential scales its input by a power of two, cuts the Taylor series
 at the degree m that the remainder bound picks from ``tol``, evaluates that
@@ -205,6 +207,27 @@ def _op_norms(named: dict) -> list[float]:
     return np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()
 
 
+# the structural residuals of a square matrix X, by the name of their form
+_RESIDUAL_FORMS = {
+    "X": lambda X: X,
+    "X - X*": lambda X: X - adj(X),
+    "X - X^t": lambda X: X - X.T,
+    # both have a +0 diagonal, so neither is the other negated: SVDs differ
+    "X^t - X": lambda X: X.T - X,
+    "X X* - X* X": lambda X: X @ adj(X) - adj(X) @ X,
+    "X X* - I": lambda X: X @ adj(X) - np.eye(X.shape[0]),
+    "X* X - I": lambda X: adj(X) @ X - np.eye(X.shape[0]),
+}
+
+
+def _residual_norms(M, name: str, *forms: str) -> list[float]:
+    """``_op_norms`` of the ``forms`` of square ``M``, in order, formed without
+    a warning and named with ``name`` for X, as ``"A A* - I"``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        named = {form.replace("X", name): _RESIDUAL_FORMS[form](M) for form in forms}
+    return _op_norms(named)
+
+
 def _scaling_power(nrm: float) -> int:
     """Least s >= 0 with nrm / 2**s <= 1/2, exact and overflow-free."""
     if nrm <= 0.5:
@@ -364,9 +387,7 @@ def herm_eig(M, group_tol: float | None = None) -> SpectralDecomposition:
     ``1e-12*(1+||M||)``.
     """
     M = as_matrix(M)
-    with np.errstate(over="ignore", invalid="ignore"):
-        skew = M - adj(M)
-    nrm, skew_nrm = _op_norms({"M": M, "M - M*": skew})
+    nrm, skew_nrm = _residual_norms(M, "M", "X", "X - X*")
     if skew_nrm > 1e-12 * (1.0 + nrm):
         raise PreconditionError("herm_eig requires a Hermitian matrix")
     # halves first: M + M* overflows where M's entries are near the limit
@@ -467,15 +488,12 @@ def normal_eig(M, group_tol: float | None = None) -> SpectralDecomposition:
     Raises ``PreconditionError`` when ``||MM* - M*M|| > 1e-10 ||M||^2``.
     """
     M = as_matrix(M)
-    Ms = adj(M)
-    with np.errstate(over="ignore", invalid="ignore"):
-        comm = M @ Ms - Ms @ M
-    nrm, comm_nrm = _op_norms({"M": M, "M M* - M* M": comm})
+    nrm, comm_nrm = _residual_norms(M, "M", "X", "X X* - X* X")
     if comm_nrm > 1e-10 * nrm * nrm + 1e-300:
         raise PreconditionError("normal_eig requires a normal matrix")
     scale = 1.0 + nrm
     # H1 + gamma H2 = ((1 - i gamma) M + (1 + i gamma) M*) / 2
-    w, V = np.linalg.eigh(0.5 * ((1.0 - 1j * _HERM_MIX) * M + (1.0 + 1j * _HERM_MIX) * Ms))
+    w, V = np.linalg.eigh(0.5 * ((1.0 - 1j * _HERM_MIX) * M + (1.0 + 1j * _HERM_MIX) * adj(M)))
     D = adj(V) @ M @ V
     for lo, hi in _runs(w, _SPLIT_MIXED * scale):
         C = D[lo:hi, lo:hi]  # compressed H1 and H2 are its Hermitian parts
@@ -505,40 +523,27 @@ def normal_eig(M, group_tol: float | None = None) -> SpectralDecomposition:
 
 def is_unitary(M, tol: float = 1e-10) -> tuple[bool, float]:
     """Unitarity predicate; returns (verdict, defect ||MM* - I||)."""
-    M = as_matrix(M)
-    eye = np.eye(M.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        named = {"M M* - I": M @ adj(M) - eye, "M* M - I": adj(M) @ M - eye}
-    defect = max(_op_norms(named))
+    defect = max(_residual_norms(as_matrix(M), "M", "X X* - I", "X* X - I"))
     return defect <= tol, defect
 
 
 def is_symmetric(M, tol: float = 1e-10) -> tuple[bool, float]:
     """Complex-symmetry predicate; defect is ||M - M^t|| / (1 + ||M||)."""
-    M = as_matrix(M)
-    with np.errstate(over="ignore", invalid="ignore"):
-        asym = M - M.T
-    asym_nrm, nrm = _op_norms({"M - M^t": asym, "M": M})
+    asym_nrm, nrm = _residual_norms(as_matrix(M), "M", "X - X^t", "X")
     defect = asym_nrm / (1.0 + nrm)
     return defect <= tol, defect
 
 
 def is_hermitian(M, tol: float = 1e-10) -> tuple[bool, float]:
     """Hermitian predicate; defect is ||M - M*|| / (1 + ||M||)."""
-    M = as_matrix(M)
-    with np.errstate(over="ignore", invalid="ignore"):
-        skew = M - adj(M)
-    skew_nrm, nrm = _op_norms({"M - M*": skew, "M": M})
+    skew_nrm, nrm = _residual_norms(as_matrix(M), "M", "X - X*", "X")
     defect = skew_nrm / (1.0 + nrm)
     return defect <= tol, defect
 
 
 def is_normal(M, tol: float = 1e-10) -> tuple[bool, float]:
     """Normality predicate; defect is ||MM* - M*M|| / (1 + ||M||^2)."""
-    M = as_matrix(M)
-    with np.errstate(over="ignore", invalid="ignore"):
-        comm = M @ adj(M) - adj(M) @ M
-    comm_nrm, nrm = _op_norms({"M M* - M* M": comm, "M": M})
+    comm_nrm, nrm = _residual_norms(as_matrix(M), "M", "X X* - X* X", "X")
     defect = comm_nrm / (1.0 + nrm ** 2)
     return defect <= tol, defect
 

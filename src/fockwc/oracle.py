@@ -148,15 +148,13 @@ class KernelCombo:
 
     @classmethod
     def from_json(cls, obj: dict) -> "KernelCombo":
+        read_terms = jsonio.records(
+            "kernel term", coeff=jsonio.complex_from_json, point=jsonio.vector_from_json
+        )
         d, pairs = jsonio.read_fields(
-            obj, "kernel combo", defaults={"terms": []}, d=int, terms=_kernel_terms_from_json
+            obj, "kernel combo", defaults={"terms": []}, d=int, terms=read_terms
         )
         return cls.from_pairs(d, pairs)
-
-
-def _kernel_terms_from_json(terms) -> list[tuple[complex, np.ndarray]]:
-    fields = dict(coeff=jsonio.complex_from_json, point=jsonio.vector_from_json)
-    return [tuple(jsonio.read_fields(t, "kernel term", **fields)) for t in terms]
 
 
 def _log_gram(a, X, b, Y) -> np.ndarray:
@@ -417,13 +415,15 @@ def _wc_section(c0: complex, wvec: np.ndarray, B: np.ndarray,
         raise ValueError("truncated section is not finite") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncOp:
     """Finite section of a linear operator on monomials of degree <= N."""
 
     dim: int
     degree: int
     matrix: np.ndarray
+
+    __eq__ = fields_equal
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(v, dtype=np.complex128)
@@ -433,7 +433,7 @@ class TruncOp:
         return list(_tables(self.dim, self.degree).indices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AntilinearTruncOp(TruncOp):
     """Finite section of an antilinear operator: v -> matrix @ conj(v)."""
 

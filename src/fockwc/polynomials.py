@@ -9,6 +9,7 @@ needs (sum, product, partial derivatives).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -133,10 +134,14 @@ class MPoly:
         return MPoly(self.dim, out)
 
     def evaluate(self, z) -> complex:
+        """f(z); ``ValueError`` where it overflows, never a warning."""
         z = as_vector(z, self.dim, "z")
         total = 0.0 + 0.0j
-        for alpha, c in self.coeffs.items():
-            total += c * complex(np.prod(z ** np.array(alpha)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for alpha, c in self.coeffs.items():
+                total += c * complex(np.prod(z ** np.array(alpha)))
+        if not cmath.isfinite(total):
+            raise ValueError("polynomial value is not finite")
         return complex(total)
 
     def to_json(self) -> dict:
@@ -148,18 +153,16 @@ class MPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MPoly":
+        read_terms = jsonio.records(
+            "polynomial term", alpha=lambda a: tuple(map(int, a)), coeff=jsonio.complex_from_json
+        )
         d, terms = jsonio.read_fields(
-            obj, "polynomial", defaults={"terms": []}, d=int, terms=_poly_terms_from_json
+            obj, "polynomial", defaults={"terms": []}, d=int, terms=read_terms
         )
         coeffs: dict[tuple[int, ...], complex] = {}
         for alpha, c in terms:
             coeffs[alpha] = coeffs.get(alpha, 0.0) + c
         return cls(d, coeffs)
-
-
-def _poly_terms_from_json(terms) -> list:
-    fields = dict(alpha=lambda a: tuple(map(int, a)), coeff=jsonio.complex_from_json)
-    return [jsonio.read_fields(t, "polynomial term", **fields) for t in terms]
 
 
 def _graded_key(item):

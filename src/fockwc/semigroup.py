@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jsonio
+from .jsonio import COMPLEX, MATRIX, VECTOR, Record
 from .conjugation import ConjugationParams, require_valid
 from .linalg import (
     adj, as_matrix, as_scalar, as_vector, expm_phi12, fields_equal, freeze, op_norm, pairing,
@@ -54,7 +54,7 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class SemigroupParams:
+class SemigroupParams(Record):
     """Data (Omega, q*, l*, theta*) generating the symbol family."""
 
     Omega: np.ndarray
@@ -63,6 +63,8 @@ class SemigroupParams:
     theta_star: complex
 
     __eq__ = fields_equal
+    _JSON = ("semigroup", {"Omega": MATRIX, "q_star": VECTOR,
+                           "ell_star": VECTOR, "theta_star": COMPLEX})
 
     def __post_init__(self):
         Omega = as_matrix(self.Omega, name="Omega")
@@ -78,27 +80,6 @@ class SemigroupParams:
     @property
     def dim(self) -> int:
         return self.q_star.size
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.dim,
-            "Omega": jsonio.matrix_to_json(self.Omega),
-            "q_star": jsonio.vector_to_json(self.q_star),
-            "ell_star": jsonio.vector_to_json(self.ell_star),
-            "theta_star": jsonio.complex_to_json(self.theta_star),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SemigroupParams":
-        *fields, d = jsonio.read_fields(
-            obj, "semigroup", defaults={"d": None}, Omega=jsonio.matrix_from_json,
-            q_star=jsonio.vector_from_json, ell_star=jsonio.vector_from_json,
-            theta_star=jsonio.complex_from_json, d=int,
-        )
-        P = cls(*fields)
-        if d is not None and d != P.dim:
-            raise ValueError("semigroup JSON has inconsistent dimension")
-        return P
 
 
 def symbol_at(P: SemigroupParams, t: float, tol: float = 1e-13) -> WcSymbol:
@@ -207,7 +188,8 @@ def generator_fd_residual(
 
     Coefficients are compared up to degree deg(f) + 1 on the truncated
     basis (exact there, since composition cannot raise those coefficients
-    from degrees beyond N).  The residual is O(h) for generic input.
+    from degrees beyond N).  The residual is O(h) for generic input;
+    ``ValueError`` where it overflows.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
@@ -219,9 +201,12 @@ def generator_fd_residual(
     T = trunc_symbol_matrix(symbol_at(P, h), N)
     v = poly_coeff_vector(f, N)
     g = poly_coeff_vector(generator_apply(P, f), N)
-    resid = (T.apply(v) - v) / h - g
     mask = _tables(P.dim, N).degree <= deg + 1
-    return float(np.linalg.norm(resid[mask]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = float(np.linalg.norm(((T.apply(v) - v) / h - g)[mask]))
+    if not math.isfinite(resid):
+        raise ValueError("generator forward-difference residual is not finite")
+    return resid
 
 
 def continuity_defect(P: SemigroupParams, w, t: float) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jsonio
+from .jsonio import COMPLEX, MATRIX, VECTOR, Record
 from .errors import PreconditionError
 from .linalg import (
     adj, as_matrix, as_scalar, as_vector, fields_equal, freeze, is_unitary, pairing,
@@ -85,7 +85,7 @@ class ScaledKernel:
 
 
 @dataclass(frozen=True, eq=False)
-class WcSymbol:
+class WcSymbol(Record):
     """Symbol (theta, ell, Q, q) of a weighted composition operator.
 
     ``theta`` must be nonzero (the weight is a nonzero entire function)
@@ -98,6 +98,7 @@ class WcSymbol:
     q: np.ndarray
 
     __eq__ = fields_equal
+    _JSON = ("symbol", {"theta": COMPLEX, "ell": VECTOR, "Q": MATRIX, "q": VECTOR})
 
     def __post_init__(self):
         theta = as_scalar(self.theta, "theta")
@@ -111,25 +112,6 @@ class WcSymbol:
     @property
     def dim(self) -> int:
         return self.ell.size
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.dim,
-            "theta": jsonio.complex_to_json(self.theta),
-            "ell": jsonio.vector_to_json(self.ell),
-            "Q": jsonio.matrix_to_json(self.Q),
-            "q": jsonio.vector_to_json(self.q),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "WcSymbol":
-        d, theta, ell, Q, q = jsonio.read_fields(
-            obj, "symbol", d=int, theta=jsonio.complex_from_json,
-            ell=jsonio.vector_from_json, Q=jsonio.matrix_from_json, q=jsonio.vector_from_json,
-        )
-        if ell.size != d:
-            raise ValueError("symbol JSON has inconsistent dimension")
-        return cls(theta, ell, Q, q)
 
 
 def identity_symbol(d: int) -> WcSymbol:
@@ -213,15 +195,12 @@ def unitary_similarity(S: WcSymbol, U, V) -> WcSymbol:
 
 
 def symbol_distance(S1: WcSymbol, S2: WcSymbol) -> float:
-    """Largest componentwise deviation between two symbols."""
+    """Largest componentwise deviation between two symbols; ``inf`` where one overflows."""
     if S1.dim != S2.dim:
         raise ValueError("symbols have different dimensions")
-    return max(
-        abs(S1.theta - S2.theta),
-        float(np.max(np.abs(S1.ell - S2.ell))),
-        float(np.max(np.abs(S1.Q - S2.Q))),
-        float(np.max(np.abs(S1.q - S2.q))),
-    )
+    pairs = ((S1.ell, S2.ell), (S1.Q, S2.Q), (S1.q, S2.q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return max(abs(S1.theta - S2.theta), *(float(np.max(np.abs(a - b))) for a, b in pairs))
 
 
 def _magnitude(S: WcSymbol) -> float:
@@ -238,7 +217,7 @@ def symbols_equal(S1: WcSymbol, S2: WcSymbol, tol: float = 1e-10) -> bool:
 
     The symbol representation is unique (theta = psi(0), ell from the
     exponent, Q and q from phi), so this decides equality of the operators
-    on their common class.
+    on their common class.  An overflowing distance is ``inf``: unequal.
     """
     scale = 1.0 + max(_magnitude(S1), _magnitude(S2))
     return symbol_distance(S1, S2) <= max(tol * scale, _EQ_FLOOR)

@@ -468,3 +468,47 @@ def ref_apply_conjugation(J, F):
 def ref_combo_value(F, x):
     """``KernelCombo.__call__`` as it was: the sum of the term values."""
     return complex(sum(t(x) for t in F.terms))
+
+
+# --- structure residuals as each check wrote them before linalg's table -------
+
+
+def ref_op_norm(R):
+    return float(np.linalg.svd(R, compute_uv=False)[0])
+
+
+def ref_predicate_defects(M):
+    """Defects of is_unitary, is_symmetric, is_hermitian and is_normal."""
+    eye = np.eye(M.shape[0])
+    nrm = ref_op_norm(M)
+    return {
+        "is_unitary": max(ref_op_norm(M @ adj(M) - eye), ref_op_norm(adj(M) @ M - eye)),
+        "is_symmetric": ref_op_norm(M - M.T) / (1.0 + nrm),
+        "is_hermitian": ref_op_norm(M - adj(M)) / (1.0 + nrm),
+        "is_normal": ref_op_norm(M @ adj(M) - adj(M) @ M) / (1.0 + nrm ** 2),
+    }
+
+
+def ref_check_residuals(S, J):
+    """The matrix residuals of the class checks and of validate(J)."""
+    eye = np.eye(S.dim)
+    AQ = J.A @ S.Q
+    return {
+        "Q_hermitian": ref_op_norm(S.Q - adj(S.Q)),
+        "Q_normal": ref_op_norm(S.Q @ adj(S.Q) - adj(S.Q) @ S.Q),
+        "Q_norm_excess": max(0.0, ref_op_norm(S.Q) - 1.0),
+        "AQ_symmetric": ref_op_norm(AQ.T - AQ),
+        "matrix": max(ref_op_norm(J.A @ adj(J.A) - eye), ref_op_norm(J.A - J.A.T)),
+    }
+
+
+def structured_matrix(rng, d, kind):
+    """A random, Hermitian, normal or unitary d x d matrix."""
+    U = rand_unitary(rng, d)
+    if kind == "random":
+        return crandn(rng, d, d)
+    if kind == "hermitian":
+        return U @ np.diag(rng.standard_normal(d)) @ adj(U)
+    if kind == "normal":
+        return U @ np.diag(crandn(rng, d)) @ adj(U)
+    return U

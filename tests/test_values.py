@@ -225,3 +225,25 @@ def test_concurrent_first_use_matches_single_threaded():
     for t in threads:
         t.join()
     assert all(r == expected for r in results), results
+
+
+# --- truncated sections -------------------------------------------------------
+
+
+def test_trunc_op_equality_compares_type_and_fields():
+    from fockwc import identity_symbol, identity_conjugation
+    from fockwc.oracle import AntilinearTruncOp, TruncOp, trunc_symbol_matrix
+
+    T = trunc_symbol_matrix(identity_symbol(1), 2)
+    assert T == trunc_symbol_matrix(identity_symbol(1), 2)
+    assert T != trunc_symbol_matrix(identity_symbol(1), 3)
+    assert T != trunc_symbol_matrix(WcSymbol(2.0, [0.0], [[1.0]], [0.0]), 2)
+    # equal fields, different type: a linear and an antilinear section differ
+    assert T != AntilinearTruncOp(T.dim, T.degree, T.matrix)
+    assert AntilinearTruncOp(T.dim, T.degree, T.matrix) != T
+    assert TruncOp(T.dim, T.degree, T.matrix) == T
+    # the section is kept, never copied
+    assert TruncOp(T.dim, T.degree, T.matrix).matrix is T.matrix
+    K = AntilinearTruncOp(1, 2, np.eye(3))
+    assert K == AntilinearTruncOp(1, 2, np.eye(3))
+    assert identity_conjugation(1) != K
