@@ -12,6 +12,8 @@ once per ``WcSymbol`` and each check compares a copy of them with its own
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .conjugation import ConjugationParams, require_valid
@@ -38,10 +40,12 @@ def _real_symmetry_residuals(S: WcSymbol) -> tuple[dict, dict]:
 
 
 def _real_symmetry_pair(S: WcSymbol) -> tuple[dict, dict]:
-    shared = {
-        "Q_hermitian": _residual_norms(S.Q, "Q", "X - X*")[0],
-        "ell_minus_q": float(np.linalg.norm(S.ell - S.q)),
-    }
+    hermitian = _residual_norms(S.Q, "Q", "X - X*")[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ell_minus_q = float(np.linalg.norm(S.ell - S.q))
+    if not math.isfinite(ell_minus_q):
+        raise ValueError("ell - q is not finite")
+    shared = {"Q_hermitian": hermitian, "ell_minus_q": ell_minus_q}
     return (
         {**shared, "theta_imag": abs(S.theta.imag)},
         {**shared, "theta_real": abs(S.theta.real)},

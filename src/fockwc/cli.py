@@ -4,7 +4,10 @@ Each invocation reads JSON inputs, runs one library operation, and writes
 exactly one JSON document to standard output; diagnostics go to standard
 error.  Exit codes: 0 for a positive verdict or successful transformation,
 1 for a negative or not-applicable verdict, 2 for malformed input or a
-violated precondition.
+violated precondition.  Overflow follows the library's rule: a payload or
+a matrix residual that overflows is a ``ValueError`` naming the quantity
+(exit 2); a vector residual that overflows is inf or NaN, fails its verdict
+and is written as null (exit 1).
 
 Verdicts are tri-state around the tolerance: residuals at most ``tol``
 pass, residuals in (tol, 10 tol] are reported as "indeterminate" (still
@@ -277,16 +280,10 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        # an overflow that no library routine handles means the input is
-        # out of range: it exits 2 instead of warning on stderr
-        with np.errstate(over="raise", invalid="raise"):
-            doc, code = args.func(args)
+        doc, code = args.func(args)
         text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     except (ValueError, DegreeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FloatingPointError as exc:
-        print(f"error: input out of floating-point range ({exc})", file=sys.stderr)
         return 2
     print(text)
     return code

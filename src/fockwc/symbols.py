@@ -47,8 +47,9 @@ __all__ = [
 
 # absolute floor under the relative equality threshold
 _EQ_FLOOR = 1e-12
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 # largest x with exp(x) finite in double precision
-_EXP_MAX = math.log(np.finfo(np.float64).max)
+_EXP_MAX = math.log(_FLOAT_MAX)
 
 
 def _times_exp(c: complex, expo: complex, what: str) -> complex:
@@ -194,18 +195,26 @@ def unitary_similarity(S: WcSymbol, U, V) -> WcSymbol:
     return WcSymbol(S.theta, U @ S.ell, adj(V) @ S.Q @ adj(U), adj(V) @ S.q)
 
 
+def _modulus(z: complex) -> float:
+    """abs(z), or ``inf`` where it overflows: abs raises ``OverflowError`` there."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def symbol_distance(S1: WcSymbol, S2: WcSymbol) -> float:
     """Largest componentwise deviation between two symbols; ``inf`` where one overflows."""
     if S1.dim != S2.dim:
         raise ValueError("symbols have different dimensions")
     pairs = ((S1.ell, S2.ell), (S1.Q, S2.Q), (S1.q, S2.q))
     with np.errstate(over="ignore", invalid="ignore"):
-        return max(abs(S1.theta - S2.theta), *(float(np.max(np.abs(a - b))) for a, b in pairs))
+        return max(_modulus(S1.theta - S2.theta), *(float(np.max(np.abs(a - b))) for a, b in pairs))
 
 
 def _magnitude(S: WcSymbol) -> float:
     return max(
-        abs(S.theta),
+        _modulus(S.theta),
         float(np.max(np.abs(S.ell))) if S.ell.size else 0.0,
         float(np.max(np.abs(S.Q))),
         float(np.max(np.abs(S.q))) if S.q.size else 0.0,
@@ -219,5 +228,12 @@ def symbols_equal(S1: WcSymbol, S2: WcSymbol, tol: float = 1e-10) -> bool:
     exponent, Q and q from phi), so this decides equality of the operators
     on their common class.  An overflowing distance is ``inf``: unequal.
     """
-    scale = 1.0 + max(_magnitude(S1), _magnitude(S2))
-    return symbol_distance(S1, S2) <= max(tol * scale, _EQ_FLOOR)
+    return symbol_distance(S1, S2) <= _equality_bound(S1, S2, tol)
+
+
+def _equality_bound(S1: WcSymbol, S2: WcSymbol, tol: float) -> float:
+    """The largest ``symbol_distance`` at which ``symbols_equal`` holds.  Where
+    a magnitude overflows, the scale is the largest float: the bound stays
+    relative, and an overflowing distance unequal."""
+    scale = min(1.0 + max(_magnitude(S1), _magnitude(S2)), _FLOAT_MAX)
+    return max(tol * scale, _EQ_FLOOR)
