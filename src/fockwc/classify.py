@@ -7,7 +7,9 @@ most ``tol`` (default 1e-9, adequate for desk-scale data of order one;
 scale ``tol`` for larger inputs).  The residuals of the real, skew and
 bounded-normal classes depend on the symbol alone, so they are computed
 once per ``WcSymbol`` and each check compares a copy of them with its own
-``tol``.
+``tol``.  So is ||Q||, under a key of its own, so that
+``check_bounded_necessary`` answers even where the normality residual
+overflows.
 """
 
 from __future__ import annotations
@@ -102,10 +104,10 @@ def _normal_bounded_residuals(S: WcSymbol) -> dict:
     with np.errstate(over="ignore", invalid="ignore"):
         flow = float(np.linalg.norm((eye - S.Q) @ S.ell - (eye - adj(S.Q)) @ S.q))
         length = abs(float(np.linalg.norm(S.ell)) - float(np.linalg.norm(S.q)))
-    normal, nrm = _residual_norms(S.Q, "Q", "X X* - X* X", "X")
+    normal = _residual_norms(S.Q, "Q", "X X* - X* X")[0]
     return {
         "Q_normal": normal,
-        "Q_norm_excess": max(0.0, nrm - 1.0),
+        "Q_norm_excess": max(0.0, _Q_norm(S) - 1.0),
         "flow": flow,
         "length": length,
     }
@@ -118,5 +120,11 @@ def check_bounded_necessary(
 
     Necessary only; no sufficiency is claimed or tested here.
     """
-    residuals = {"Q_norm_excess": max(0.0, op_norm(S.Q) - 1.0)}
+    residuals = {"Q_norm_excess": max(0.0, _Q_norm(S) - 1.0)}
     return residuals_within(residuals, tol), residuals
+
+
+def _Q_norm(S: WcSymbol) -> float:
+    """||Q||, computed once per symbol; the same bits as the norm of Q in a
+    stacked ``_residual_norms`` call."""
+    return derived(S, "_Q_norm", lambda S: op_norm(S.Q))

@@ -18,6 +18,8 @@ given real-symmetric or bounded-normal operator J-selfadjoint.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +37,12 @@ from .linalg import (
     freeze,
     herm_eig,
     normal_eig,
-    op_norm,
+    owned,
     residuals_within,
 )
-from .symbols import ScaledKernel, WcSymbol, _times_exp, adjoint_symbol
+# unused here, but kept as a module attribute that benchmarks/tracing.py wraps
+from .linalg import op_norm  # noqa: F401
+from .symbols import ScaledKernel, WcSymbol, _theta_times_exp, _times_exp, adjoint_symbol
 
 __all__ = [
     "ConjugationParams",
@@ -130,7 +134,8 @@ def apply_to_kernel(J: ConjugationParams, w) -> ScaledKernel:
     require_valid(J)
     w = as_vector(w, J.dim, "w")
     expo, points = apply_to_kernels(J, w[None, :])
-    return ScaledKernel(_times_exp(J.c, complex(expo[0]), "J K_w coefficient"), points[0])
+    coeff = _times_exp(J.c, complex(expo[0]), "J K_w coefficient")
+    return owned(ScaledKernel, coeff=coeff, point=points[0])
 
 
 def conjugate_by_J(S: WcSymbol, J: ConjugationParams) -> WcSymbol:
@@ -163,8 +168,9 @@ def conjugate_by_J(S: WcSymbol, J: ConjugationParams) -> WcSymbol:
             + np.dot(np.conj(b), np.conj(S.Q) @ b)
             + np.conj(np.dot(S.q, b))
         )
-    theta_p = _times_exp(abs(c) ** 2 * S.theta.conjugate(), complex(expo), "theta of J C J")
-    return WcSymbol(theta_p, lp, Qp, qp)
+    theta_p = _theta_times_exp(abs(c) ** 2 * S.theta.conjugate(), complex(expo), "theta of J C J",
+                               lambda: 2.0 * math.log(abs(c)) + cmath.log(S.theta.conjugate()))
+    return WcSymbol._owned(theta_p, lp, Qp, qp)
 
 
 def j_adjoint_symbol(S: WcSymbol, J: ConjugationParams) -> WcSymbol:
@@ -252,7 +258,7 @@ def find_conjugation_real_symmetric(
     u = adj(V) @ S.q
     phases = np.exp(-2j * np.angle(u))
     A = np.conj(V) @ (phases[:, None] * adj(V))
-    return ConjugationParams(A, np.zeros(S.dim), 1.0)
+    return owned(ConjugationParams, A=A, b=np.zeros(S.dim, dtype=np.complex128), c=1.0)
 
 
 def find_conjugation_normal(S: WcSymbol, tol: float = 1e-9) -> ConjugationParams:
@@ -267,7 +273,7 @@ def find_conjugation_normal(S: WcSymbol, tol: float = 1e-9) -> ConjugationParams
     a plain zero phase there would break J-selfadjointness whenever
     v != conj(u) on that eigenspace.
     """
-    from .classify import check_normal_bounded
+    from .classify import _Q_norm, check_normal_bounded
 
     ok, _ = check_normal_bounded(S, tol)
     if not ok:
@@ -278,7 +284,7 @@ def find_conjugation_normal(S: WcSymbol, tol: float = 1e-9) -> ConjugationParams
     V = dec.unitary
     u = adj(V) @ S.q
     v = adj(V) @ S.ell
-    scale = 1.0 + op_norm(S.Q)
+    scale = 1.0 + _Q_norm(S)
     zero_tol = _ZERO_VEC_TOL * (
         1.0 + float(np.linalg.norm(S.q)) + float(np.linalg.norm(S.ell))
     )
@@ -296,4 +302,4 @@ def find_conjugation_normal(S: WcSymbol, tol: float = 1e-9) -> ConjugationParams
             else:
                 W[np.ix_(idx, idx)] = _pairing_symmetric_unitary(uj, vj)
     A = np.conj(V) @ W @ adj(V)
-    return ConjugationParams(A, np.zeros(S.dim), 1.0)
+    return owned(ConjugationParams, A=A, b=np.zeros(S.dim, dtype=np.complex128), c=1.0)

@@ -44,7 +44,7 @@ from . import jsonio
 from .conjugation import ConjugationParams, apply_to_kernels, require_valid
 from .conjugation import apply_to_kernel  # noqa: F401  wrapped here by benchmarks/tracing.py
 from .errors import DegreeCapError, PreconditionError
-from .linalg import as_scalar, as_vector, fields_equal, freeze, op_norm
+from .linalg import as_scalar, as_vector, fields_equal, freeze, op_norm, owned
 from .polynomials import MPoly, mi_factorial, multi_indices
 from .symbols import ScaledKernel, WcSymbol, act_on_kernel, act_on_kernels, adjoint_symbol
 
@@ -95,6 +95,8 @@ class KernelCombo:
     points: np.ndarray
 
     __eq__ = fields_equal
+    _NONFINITE = {"coeffs": "kernel combo coefficients are not finite",
+                  "points": "kernel combo points are not finite"}
 
     def __post_init__(self):
         if self.dim < 1:
@@ -104,9 +106,9 @@ class KernelCombo:
         if coeffs.ndim != 1 or points.shape != (coeffs.size, self.dim):  # never reshaped to fit
             shapes = f"{coeffs.shape}, {points.shape} != (m,), (m, {self.dim})"
             raise ValueError(f"kernel combo shapes {shapes}")
-        for name, arr in (("coefficients", coeffs), ("points", points)):
+        for name, arr in (("coeffs", coeffs), ("points", points)):
             if not np.isfinite(arr).all():
-                raise ValueError(f"kernel combo {name} are not finite")
+                raise ValueError(self._NONFINITE[name])
         freeze(self, coeffs=coeffs, points=points)
 
     @classmethod
@@ -195,7 +197,8 @@ def apply_symbol(S: WcSymbol, F: KernelCombo) -> KernelCombo:
         raise ValueError("symbol and combo dimensions differ")
     expo, points = act_on_kernels(S, F.points)
     with np.errstate(over="ignore", invalid="ignore"):
-        return KernelCombo(F.dim, F.coeffs * (S.theta * np.exp(expo)), points)
+        coeffs = F.coeffs * (S.theta * np.exp(expo))
+    return owned(KernelCombo, dim=F.dim, coeffs=coeffs, points=points)
 
 
 def apply_conjugation(J: ConjugationParams, F: KernelCombo) -> KernelCombo:
@@ -205,7 +208,8 @@ def apply_conjugation(J: ConjugationParams, F: KernelCombo) -> KernelCombo:
     require_valid(J)
     expo, points = apply_to_kernels(J, F.points)
     with np.errstate(over="ignore", invalid="ignore"):
-        return KernelCombo(F.dim, np.conj(F.coeffs) * (J.c * np.exp(expo)), points)
+        coeffs = np.conj(F.coeffs) * (J.c * np.exp(expo))
+    return owned(KernelCombo, dim=F.dim, coeffs=coeffs, points=points)
 
 
 def _stack_points(points, dim: int) -> np.ndarray:

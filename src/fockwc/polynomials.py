@@ -4,7 +4,8 @@ Multi-indices are tuples of non-negative integers.  The canonical basis
 order everywhere in the package is graded lexicographic: ascending total
 degree, lexicographic within each degree.  ``MPoly`` stores finitely many
 monomial coefficients and supports the arithmetic the generator module
-needs (sum, product, partial derivatives).
+needs (sum, product, partial derivatives), whose results ``MPoly._owned``
+builds without re-checking their multi-indices.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
-from .linalg import as_scalar, as_vector
+from .linalg import as_scalar, as_vector, owned
 
 __all__ = [
     "monomials_of_degree",
@@ -79,6 +80,18 @@ class MPoly:
         object.__setattr__(self, "coeffs", clean)
 
     @classmethod
+    def _owned(cls, dim: int, coeffs: dict) -> "MPoly":
+        """The polynomial of coefficients the library has just computed,
+        keyed by valid multi-indices, each a Python complex so that products
+        keep their bits.  As in ``__post_init__``, zeros are dropped and the
+        first non-finite coefficient raises ``as_scalar``'s message."""
+        clean = {alpha: c for alpha, c in coeffs.items() if c != 0}
+        for c in clean.values():
+            if not cmath.isfinite(c):
+                as_scalar(c, "coefficient")
+        return owned(cls, dim=dim, coeffs=clean)
+
+    @classmethod
     def zero(cls, d: int) -> "MPoly":
         return cls(d, {})
 
@@ -102,11 +115,11 @@ class MPoly:
         out = dict(self.coeffs)
         for alpha, c in other.coeffs.items():
             out[alpha] = out.get(alpha, 0.0) + c
-        return MPoly(self.dim, out)
+        return MPoly._owned(self.dim, out)
 
     def scale(self, c) -> "MPoly":
         c = as_scalar(c, "scale")
-        return MPoly(self.dim, {a: c * v for a, v in self.coeffs.items()})
+        return MPoly._owned(self.dim, {a: c * v for a, v in self.coeffs.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + other.scale(-1.0)
@@ -119,7 +132,7 @@ class MPoly:
             for a2, c2 in other.coeffs.items():
                 key = tuple(x + y for x, y in zip(a1, a2))
                 out[key] = out.get(key, 0.0) + c1 * c2
-        return MPoly(self.dim, out)
+        return MPoly._owned(self.dim, out)
 
     def partial(self, k: int) -> "MPoly":
         """Partial derivative with respect to the k-th coordinate."""
@@ -131,7 +144,7 @@ class MPoly:
                 beta = list(alpha)
                 beta[k] -= 1
                 out[tuple(beta)] = c * alpha[k]
-        return MPoly(self.dim, out)
+        return MPoly._owned(self.dim, out)
 
     def evaluate(self, z) -> complex:
         """f(z); ``ValueError`` where it overflows, never a warning."""

@@ -39,7 +39,8 @@ from .linalg import expm, op_norm, phi12  # noqa: F401
 from .oracle import poly_coeff_vector, trunc_symbol_matrix, _tables
 from .polynomials import MPoly
 from .symbols import (
-    WcSymbol, _equality_bound, _times_exp, act_on_kernel, compose, identity_symbol, symbol_distance,
+    WcSymbol, _equality_bound, _theta_times_exp, act_on_kernel, compose, identity_symbol,
+    symbol_distance,
 )
 
 __all__ = [
@@ -106,8 +107,8 @@ def symbol_at(P: SemigroupParams, t: float, tol: float = 1e-13) -> WcSymbol:
         ell_t = t * (adj(p1) @ P.ell_star)
         q_integral = t * t * (p2 @ P.q_star)
     expo = P.theta_star * t + pairing(q_integral, P.ell_star)
-    theta_t = _times_exp(1.0, expo, f"theta_t at t = {t!r}")
-    return WcSymbol(theta_t, ell_t, Q_t, q_t)
+    theta_t = _theta_times_exp(1.0, expo, f"theta_t at t = {t!r}", lambda: 0.0)
+    return WcSymbol._owned(theta_t, ell_t, Q_t, q_t)
 
 
 def validate_J_conditions(
@@ -173,14 +174,15 @@ def generator_apply(P: SemigroupParams, f: MPoly) -> MPoly:
     # keys in the order MPoly.__mul__ accumulates in: the constant, then e_0 ... e_{d-1}
     units = [tuple(int(j == k) for j in range(d)) for k in range(d)]
 
-    def affine(const, linear) -> MPoly:
-        return MPoly(d, {(0,) * d: const, **dict(zip(units, linear))})
+    def affine(const: complex, linear: list) -> MPoly:
+        return MPoly._owned(d, {(0,) * d: const, **dict(zip(units, linear))})
 
-    out = affine(P.theta_star, np.conj(P.ell_star)) * f
+    out = affine(P.theta_star, np.conj(P.ell_star).tolist()) * f
+    q_star, Omega = P.q_star.tolist(), P.Omega.tolist()
     for k in range(d):
         fk = f.partial(k)
         if fk.coeffs:
-            out = out + fk * affine(P.q_star[k], P.Omega[k])
+            out = out + fk * affine(q_star[k], Omega[k])
     return out
 
 

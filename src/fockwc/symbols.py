@@ -13,7 +13,10 @@ acts on reproducing kernels K_w(u) = e^{<u, w>} by
 
 which makes the whole calculus (products, adjoints, unitary similarity)
 exact arithmetic on the four components.  All operations return new
-values; symbols are immutable.
+values; symbols are immutable.  The operations build their results by
+``WcSymbol._owned`` (``linalg.owned``), without the public constructor's
+coercion and copy but with its checks on theta and on finiteness.  A new
+theta that underflows to zero raises a ``ValueError`` that names it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .jsonio import COMPLEX, MATRIX, VECTOR, Record
 from .errors import PreconditionError
 from .linalg import (
-    adj, as_matrix, as_scalar, as_vector, fields_equal, freeze, is_unitary, pairing,
+    adj, as_matrix, as_scalar, as_vector, fields_equal, freeze, is_unitary, owned, pairing,
 )
 
 __all__ = [
@@ -60,6 +63,22 @@ def _times_exp(c: complex, expo: complex, what: str) -> complex:
         if cmath.isfinite(value):
             return value
     raise ValueError(f"{what} is not finite: exponent {expo:.6g}")
+
+
+def _theta_times_exp(c: complex, expo: complex, what: str, log_c) -> complex:
+    """``_times_exp`` for the theta of a new symbol, which must be nonzero:
+    where it underflows to zero, ``ValueError`` naming ``what`` and the
+    exponent of the whole product, ``log_c() + expo``."""
+    theta = _times_exp(c, expo, what)
+    if theta == 0:
+        raise ValueError(f"{what} underflows to zero: exponent {log_c() + expo:.6g}")
+    return theta
+
+
+def _nonzero(theta: complex) -> complex:
+    if theta == 0:
+        raise ValueError("theta must be nonzero")
+    return theta
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,13 +121,18 @@ class WcSymbol(Record):
     _JSON = ("symbol", {"theta": COMPLEX, "ell": VECTOR, "Q": MATRIX, "q": VECTOR})
 
     def __post_init__(self):
-        theta = as_scalar(self.theta, "theta")
-        if theta == 0:
-            raise ValueError("theta must be nonzero")
+        theta = _nonzero(as_scalar(self.theta, "theta"))
         ell = as_vector(self.ell, name="ell")
         d = ell.size
         Q, q = as_matrix(self.Q, d, "Q"), as_vector(self.q, d, "q")
         freeze(self, theta=theta, ell=ell, Q=Q, q=q)
+
+    @classmethod
+    def _owned(cls, theta: complex, ell: np.ndarray, Q: np.ndarray, q: np.ndarray) -> WcSymbol:
+        """The symbol of components the library has just computed
+        (``linalg.owned``).  The public messages keep their order: theta is
+        tested for zero first, which only a finite theta can fail."""
+        return owned(cls, theta=_nonzero(theta), ell=ell, Q=Q, q=q)
 
     @property
     def dim(self) -> int:
@@ -119,7 +143,8 @@ def identity_symbol(d: int) -> WcSymbol:
     """The symbol of the identity operator: (1, 0, I, 0)."""
     if d < 1:
         raise ValueError("dimension must be positive")
-    return WcSymbol(1.0, np.zeros(d), np.eye(d), np.zeros(d))
+    zero = np.zeros(d, dtype=np.complex128)
+    return WcSymbol._owned(1.0, zero, np.eye(d, dtype=np.complex128), zero)
 
 
 def evaluate(S: WcSymbol, z) -> tuple[complex, np.ndarray]:
@@ -144,7 +169,7 @@ def act_on_kernel(S: WcSymbol, w) -> ScaledKernel:
     w = as_vector(w, S.dim, "w")
     expo, points = act_on_kernels(S, w[None, :])
     coeff = _times_exp(S.theta, complex(expo[0]), "kernel image coefficient")
-    return ScaledKernel(coeff, points[0])
+    return owned(ScaledKernel, coeff=coeff, point=points[0])
 
 
 def compose(S1: WcSymbol, S2: WcSymbol) -> WcSymbol:
@@ -157,10 +182,14 @@ def compose(S1: WcSymbol, S2: WcSymbol) -> WcSymbol:
     """
     if S1.dim != S2.dim:
         raise ValueError("compose requires symbols of equal dimension")
-    theta = _times_exp(S1.theta * S2.theta, pairing(S1.q, S2.ell), "theta of the composition")
+    expo = pairing(S1.q, S2.ell)
+    theta = _theta_times_exp(S1.theta * S2.theta, expo, "theta of the composition",
+                             lambda: cmath.log(S1.theta) + cmath.log(S2.theta))
     # an overflowing component is rejected by name in WcSymbol, not warned
     with np.errstate(over="ignore", invalid="ignore"):
-        return WcSymbol(theta, S1.ell + adj(S1.Q) @ S2.ell, S2.Q @ S1.Q, S2.Q @ S1.q + S2.q)
+        return WcSymbol._owned(
+            theta, S1.ell + adj(S1.Q) @ S2.ell, S2.Q @ S1.Q, S2.Q @ S1.q + S2.q
+        )
 
 
 def adjoint_symbol(S: WcSymbol) -> WcSymbol:
@@ -169,12 +198,12 @@ def adjoint_symbol(S: WcSymbol) -> WcSymbol:
     The adjoint acts on kernels by C* K_z = conj(psi(z)) K_{phi(z)}, and this
     quadruple is the unique symbol realizing that action.
     """
-    return WcSymbol(np.conj(S.theta), S.q, adj(S.Q), S.ell)
+    return WcSymbol._owned(S.theta.conjugate(), S.q, adj(S.Q), S.ell)
 
 
 def negate_theta(S: WcSymbol) -> WcSymbol:
     """Same symbol with the weight scalar negated (for skew symmetry tests)."""
-    return WcSymbol(-S.theta, S.ell, S.Q, S.q)
+    return WcSymbol._owned(-S.theta, S.ell, S.Q, S.q)
 
 
 def unitary_similarity(S: WcSymbol, U, V) -> WcSymbol:
@@ -192,7 +221,7 @@ def unitary_similarity(S: WcSymbol, U, V) -> WcSymbol:
             raise PreconditionError(
                 f"{name} is not unitary (defect {defect:.2e})"
             )
-    return WcSymbol(S.theta, U @ S.ell, adj(V) @ S.Q @ adj(U), adj(V) @ S.q)
+    return WcSymbol._owned(S.theta, U @ S.ell, adj(V) @ S.Q @ adj(U), adj(V) @ S.q)
 
 
 def _modulus(z: complex) -> float:
