@@ -6,152 +6,31 @@ validation and construction, symmetry classification, J-selfadjoint
 semigroups with their generators, and two independent numerical oracles
 (exact kernel-span computations and truncated matrix sections) that verify
 every identity.
+
+The public API is ``__all__``.  Each module's ``__all__`` declares its share
+and is re-exported here as it stands; helpers that modules share with each
+other stay out of it, importable from their module by name.
 """
 
-from .classify import (
-    check_bounded_necessary,
-    check_J_selfadjoint,
-    check_normal_bounded,
-    check_real_symmetric,
-    check_skew_real_symmetric,
-)
-from .conjugation import (
-    ConjugationParams,
-    apply_to_kernel,
-    conjugate_by_J,
-    find_conjugation_normal,
-    find_conjugation_real_symmetric,
-    identity_conjugation,
-    j_adjoint_symbol,
-    validate,
-)
-from .errors import DegreeCapError, NotApplicableError, PreconditionError
-from .linalg import (
-    SpectralDecomposition,
-    adj,
-    expm,
-    herm_eig,
-    is_hermitian,
-    is_normal,
-    is_symmetric,
-    is_unitary,
-    normal_eig,
-    op_norm,
-    pairing,
-    phi1,
-    phi2,
-    phi12,
-)
-from .oracle import (
-    AntilinearTruncOp,
-    KernelCombo,
-    TruncOp,
-    adjoint_defect,
-    apply_conjugation,
-    apply_symbol,
-    combo_norm,
-    cross_check,
-    exp_tail,
-    inner,
-    j_symmetry_defect,
-    kernel_coeff_vector,
-    pairing_defect,
-    poly_coeff_vector,
-    trunc_conjugation_matrix,
-    trunc_symbol_matrix,
-)
-from .polynomials import MPoly, mi_factorial, multi_indices
-from .semigroup import (
-    SemigroupParams,
-    check_laws,
-    continuity_defect,
-    generator_apply,
-    generator_fd_residual,
-    symbol_at,
-    validate_J_conditions,
-)
-from .symbols import (
-    ScaledKernel,
-    WcSymbol,
-    act_on_kernel,
-    adjoint_symbol,
-    compose,
-    evaluate,
-    identity_symbol,
-    negate_theta,
-    symbol_distance,
-    symbols_equal,
-    unitary_similarity,
-)
+from . import classify, conjugation, errors, linalg, oracle, polynomials, semigroup, symbols
+from .classify import *
+from .conjugation import *
+from .errors import *
+from .linalg import *
+from .oracle import *
+from .polynomials import *
+from .semigroup import *
+from .symbols import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AntilinearTruncOp",
-    "ConjugationParams",
-    "DegreeCapError",
-    "KernelCombo",
-    "MPoly",
-    "NotApplicableError",
-    "PreconditionError",
-    "ScaledKernel",
-    "SemigroupParams",
-    "SpectralDecomposition",
-    "TruncOp",
-    "WcSymbol",
-    "act_on_kernel",
-    "adj",
-    "adjoint_defect",
-    "adjoint_symbol",
-    "apply_conjugation",
-    "apply_symbol",
-    "apply_to_kernel",
-    "check_J_selfadjoint",
-    "check_bounded_necessary",
-    "check_laws",
-    "check_normal_bounded",
-    "check_real_symmetric",
-    "check_skew_real_symmetric",
-    "combo_norm",
-    "compose",
-    "conjugate_by_J",
-    "continuity_defect",
-    "cross_check",
-    "evaluate",
-    "exp_tail",
-    "expm",
-    "find_conjugation_normal",
-    "find_conjugation_real_symmetric",
-    "generator_apply",
-    "generator_fd_residual",
-    "herm_eig",
-    "identity_conjugation",
-    "identity_symbol",
-    "inner",
-    "is_hermitian",
-    "is_normal",
-    "is_symmetric",
-    "is_unitary",
-    "j_adjoint_symbol",
-    "j_symmetry_defect",
-    "kernel_coeff_vector",
-    "mi_factorial",
-    "multi_indices",
-    "negate_theta",
-    "normal_eig",
-    "op_norm",
-    "pairing",
-    "pairing_defect",
-    "phi1",
-    "phi12",
-    "phi2",
-    "poly_coeff_vector",
-    "symbol_at",
-    "symbol_distance",
-    "symbols_equal",
-    "trunc_conjugation_matrix",
-    "trunc_symbol_matrix",
-    "unitary_similarity",
-    "validate",
-    "validate_J_conditions",
-]
+__all__ = sorted(
+    classify.__all__
+    + conjugation.__all__
+    + errors.__all__
+    + linalg.__all__
+    + oracle.__all__
+    + polynomials.__all__
+    + semigroup.__all__
+    + symbols.__all__
+)

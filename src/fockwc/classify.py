@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .conjugation import ConjugationParams, require_valid
-from .linalg import _residual_norms, adj, derived, op_norm, residuals_within
+from .linalg import DEFAULT_TOL, _residual_norms, adj, derived, op_norm, residuals_within
 from .symbols import WcSymbol
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "check_normal_bounded",
     "check_bounded_necessary",
 ]
-
-DEFAULT_TOL = 1e-9
 
 
 def _real_symmetry_residuals(S: WcSymbol) -> tuple[dict, dict]:

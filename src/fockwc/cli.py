@@ -2,9 +2,10 @@
 
 Each invocation reads JSON inputs, runs one library operation, and writes
 exactly one JSON document to standard output; diagnostics go to standard
-error.  Exit codes: 0 for a positive verdict or successful transformation,
-1 for a negative or not-applicable verdict, 2 for malformed input or a
-violated precondition.  Overflow follows the library's rule: a payload or
+error.  Exit codes, set by ``run`` from the document's verdict alone: 0 for
+"true" (a positive verdict or successful transformation), 1 for any other
+verdict (negative, indeterminate or not applicable), 2 for malformed input
+or a violated precondition.  Overflow follows the library's rule: a payload or
 a matrix residual that overflows is a ``ValueError`` naming the quantity
 (exit 2); a vector residual that overflows is inf or NaN, fails its verdict
 and is written as null (exit 1).
@@ -30,9 +31,8 @@ from . import jsonio
 from . import oracle as _oracle
 from . import semigroup as _sg
 from . import symbols as _sym
-from .classify import DEFAULT_TOL
 from .errors import DegreeCapError, NotApplicableError
-from .linalg import residuals_within
+from .linalg import DEFAULT_TOL, residuals_within
 from .polynomials import MPoly
 
 
@@ -85,21 +85,16 @@ def _emit(verdict: str, residuals: dict | None = None, payload=None) -> dict:
     return doc
 
 
-def _exit_for(verdict: str) -> int:
-    return 0 if verdict == "true" else 1
-
-
 # --- subcommands --------------------------------------------------------------
 
 
-def _cmd_validate_conjugation(args) -> tuple[dict, int]:
+def _cmd_validate_conjugation(args) -> dict:
     J = _conj.ConjugationParams.from_json(_load_json(args.infile))
     _, residuals = _conj.validate(J, args.tol)
-    verdict = _verdict(residuals, args.tol)
-    return _emit(verdict, residuals), _exit_for(verdict)
+    return _emit(_verdict(residuals, args.tol), residuals)
 
 
-def _cmd_classify(args) -> tuple[dict, int]:
+def _cmd_classify(args) -> dict:
     S = _sym.WcSymbol.from_json(_load_json(args.infile))
     checks = {
         "real": _classify.check_real_symmetric(S, args.tol)[1],
@@ -122,21 +117,21 @@ def _cmd_classify(args) -> tuple[dict, int]:
         if any(verdicts[k] == "true" for k in symmetry_classes)
         else "false"
     )
-    return _emit(overall, residuals, payload=verdicts), _exit_for(overall)
+    return _emit(overall, residuals, payload=verdicts)
 
 
-def _cmd_adjoint(args) -> tuple[dict, int]:
+def _cmd_adjoint(args) -> dict:
     S = _sym.WcSymbol.from_json(_load_json(args.infile))
-    return _emit("true", payload=_sym.adjoint_symbol(S).to_json()), 0
+    return _emit("true", payload=_sym.adjoint_symbol(S).to_json())
 
 
-def _cmd_conjugate(args) -> tuple[dict, int]:
+def _cmd_conjugate(args) -> dict:
     S = _sym.WcSymbol.from_json(_load_json(args.infile))
     J = _conj.ConjugationParams.from_json(_load_json(args.conj))
-    return _emit("true", payload=_conj.conjugate_by_J(S, J).to_json()), 0
+    return _emit("true", payload=_conj.conjugate_by_J(S, J).to_json())
 
 
-def _cmd_find_conjugation(args) -> tuple[dict, int]:
+def _cmd_find_conjugation(args) -> dict:
     S = _sym.WcSymbol.from_json(_load_json(args.infile))
     finders = {
         "real": [_conj.find_conjugation_real_symmetric],
@@ -151,17 +146,17 @@ def _cmd_find_conjugation(args) -> tuple[dict, int]:
             J = finder(S, args.tol)
         except NotApplicableError:
             continue
-        return _emit("true", payload=J.to_json()), 0
-    return _emit("n/a"), 1
+        return _emit("true", payload=J.to_json())
+    return _emit("n/a")
 
 
-def _cmd_semigroup_at(args) -> tuple[dict, int]:
+def _cmd_semigroup_at(args) -> dict:
     P = _sg.SemigroupParams.from_json(_load_json(args.infile))
     S = _sg.symbol_at(P, args.t)
-    return _emit("true", payload=S.to_json()), 0
+    return _emit("true", payload=S.to_json())
 
 
-def _cmd_semigroup_check(args) -> tuple[dict, int]:
+def _cmd_semigroup_check(args) -> dict:
     P = _sg.SemigroupParams.from_json(_load_json(args.infile))
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
@@ -184,25 +179,23 @@ def _cmd_semigroup_check(args) -> tuple[dict, int]:
             )
             worst_sa = max(worst_sa, max(res.values()))
         residuals["j_selfadjoint_max"] = worst_sa
-    verdict = _verdict(residuals, args.tol)
-    return _emit(verdict, residuals), _exit_for(verdict)
+    return _emit(_verdict(residuals, args.tol), residuals)
 
 
-def _cmd_generator_apply(args) -> tuple[dict, int]:
+def _cmd_generator_apply(args) -> dict:
     P = _sg.SemigroupParams.from_json(_load_json(args.infile))
     f = MPoly.from_json(_load_json(args.poly))
-    return _emit("true", payload=_sg.generator_apply(P, f).to_json()), 0
+    return _emit("true", payload=_sg.generator_apply(P, f).to_json())
 
 
-def _cmd_oracle_defect(args) -> tuple[dict, int]:
+def _cmd_oracle_defect(args) -> dict:
     S = _sym.WcSymbol.from_json(_load_json(args.infile))
     points = _load_points(args.points)
     residuals = {"adjoint_defect": _oracle.adjoint_defect(S, points)}
     if args.conj:
         J = _conj.ConjugationParams.from_json(_load_json(args.conj))
         residuals["j_symmetry_defect"] = _oracle.j_symmetry_defect(S, J, points)
-    verdict = _verdict(residuals, args.tol)
-    return _emit(verdict, residuals), _exit_for(verdict)
+    return _emit(_verdict(residuals, args.tol), residuals)
 
 
 # --- parser and entry point ---------------------------------------------------
@@ -280,13 +273,13 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        doc, code = args.func(args)
+        doc = args.func(args)
         text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     except (ValueError, DegreeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text)
-    return code
+    return 0 if doc["verdict"] == "true" else 1
 
 
 def main() -> None:

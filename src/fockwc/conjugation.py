@@ -27,6 +27,7 @@ import numpy as np
 from .jsonio import COMPLEX, MATRIX, VECTOR, Record
 from .errors import NotApplicableError, PreconditionError
 from .linalg import (
+    DEFAULT_TOL,
     _residual_norms,
     adj,
     as_matrix,
@@ -48,9 +49,7 @@ __all__ = [
     "ConjugationParams",
     "identity_conjugation",
     "validate",
-    "require_valid",
     "apply_to_kernel",
-    "apply_to_kernels",
     "conjugate_by_J",
     "j_adjoint_symbol",
     "find_conjugation_real_symmetric",
@@ -95,7 +94,7 @@ def _validity_residuals(J: ConjugationParams) -> dict:
     }
 
 
-def validate(J: ConjugationParams, tol: float = 1e-9) -> tuple[bool, dict]:
+def validate(J: ConjugationParams, tol: float = DEFAULT_TOL) -> tuple[bool, dict]:
     """Check the three conjugation conditions; residuals are absolute.
 
     Residual 1 covers condition (i) as max(unitarity, symmetry) defect of A,
@@ -109,7 +108,7 @@ def validate(J: ConjugationParams, tol: float = 1e-9) -> tuple[bool, dict]:
     return residuals_within(residuals, tol), residuals
 
 
-def require_valid(J: ConjugationParams, tol: float = 1e-9) -> None:
+def require_valid(J: ConjugationParams, tol: float = DEFAULT_TOL) -> None:
     """Raise ``PreconditionError`` unless ``J`` is a valid conjugation."""
     ok, residuals = validate(J, tol)
     if not ok:
@@ -234,7 +233,7 @@ def _pairing_symmetric_unitary(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def find_conjugation_real_symmetric(
-    S: WcSymbol, tol: float = 1e-9
+    S: WcSymbol, tol: float = DEFAULT_TOL
 ) -> ConjugationParams:
     """Conjugation making a (skew-)real-symmetric operator J-selfadjoint.
 
@@ -261,7 +260,7 @@ def find_conjugation_real_symmetric(
     return owned(ConjugationParams, A=A, b=np.zeros(S.dim, dtype=np.complex128), c=1.0)
 
 
-def find_conjugation_normal(S: WcSymbol, tol: float = 1e-9) -> ConjugationParams:
+def find_conjugation_normal(S: WcSymbol, tol: float = DEFAULT_TOL) -> ConjugationParams:
     """Conjugation making a bounded-normal operator J-selfadjoint.
 
     Same scheme as the real-symmetric case with Q = V M V* normal,

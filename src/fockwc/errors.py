@@ -5,6 +5,8 @@ non-finite entries, bad tolerances).  The classes below distinguish the
 two failure modes the command line front end maps to its own exit codes.
 """
 
+__all__ = ["PreconditionError", "NotApplicableError", "DegreeCapError"]
+
 
 class PreconditionError(ValueError):
     """A documented mathematical precondition does not hold for the input."""

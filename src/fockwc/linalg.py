@@ -52,18 +52,10 @@ import numpy as np
 from .errors import PreconditionError
 
 __all__ = [
-    "as_scalar",
-    "as_vector",
-    "as_matrix",
-    "freeze",
-    "owned",
-    "fields_equal",
-    "derived",
     "pairing",
     "adj",
     "op_norm",
     "expm",
-    "expm_phi12",
     "phi1",
     "phi2",
     "phi12",
@@ -74,7 +66,6 @@ __all__ = [
     "is_symmetric",
     "is_hermitian",
     "is_normal",
-    "residuals_within",
 ]
 
 # Terms of the scaled Taylor series are capped well past the point where
@@ -582,6 +573,11 @@ def is_normal(M, tol: float = 1e-10) -> tuple[bool, float]:
     comm_nrm, nrm = _residual_norms(as_matrix(M), "M", "X X* - X* X", "X")
     defect = comm_nrm / (1.0 + nrm ** 2)
     return defect <= tol, defect
+
+
+# default tolerance of every verdict: the classifiers, conjugation validity
+# and its finders, the semigroup laws and conditions, and the command line
+DEFAULT_TOL = 1e-9
 
 
 def residuals_within(residuals: dict, tol: float) -> bool:

@@ -49,8 +49,6 @@ from .polynomials import MPoly, mi_factorial, multi_indices
 from .symbols import ScaledKernel, WcSymbol, act_on_kernel, act_on_kernels, adjoint_symbol
 
 __all__ = [
-    "MAX_TRUNC_DEGREE",
-    "MAX_TRUNC_BASIS",
     "KernelCombo",
     "inner",
     "combo_norm",

@@ -20,7 +20,6 @@ from . import jsonio
 from .linalg import as_scalar, as_vector, owned
 
 __all__ = [
-    "monomials_of_degree",
     "multi_indices",
     "mi_factorial",
     "MPoly",

@@ -31,8 +31,8 @@ import numpy as np
 from .jsonio import COMPLEX, MATRIX, VECTOR, Record
 from .conjugation import ConjugationParams, require_valid
 from .linalg import (
-    _residual_norms, adj, as_matrix, as_scalar, as_vector, expm_phi12, fields_equal, freeze,
-    pairing, residuals_within,
+    DEFAULT_TOL, _residual_norms, adj, as_matrix, as_scalar, as_vector, expm_phi12, fields_equal,
+    freeze, pairing, residuals_within,
 )
 # unused here, but kept as module attributes that benchmarks/tracing.py wraps
 from .linalg import expm, op_norm, phi12  # noqa: F401
@@ -112,7 +112,7 @@ def symbol_at(P: SemigroupParams, t: float, tol: float = 1e-13) -> WcSymbol:
 
 
 def validate_J_conditions(
-    P: SemigroupParams, J: ConjugationParams, tol: float = 1e-9
+    P: SemigroupParams, J: ConjugationParams, tol: float = DEFAULT_TOL
 ) -> tuple[bool, dict]:
     """Residuals of the parameter conditions for a J-selfadjoint semigroup:
 
@@ -147,7 +147,7 @@ def validate_J_conditions(
 
 
 def check_laws(
-    P: SemigroupParams, t: float, s: float, tol: float = 1e-9
+    P: SemigroupParams, t: float, s: float, tol: float = DEFAULT_TOL
 ) -> tuple[bool, float]:
     """Semiflow/semicocycle laws: C(t) C(s) = C(t+s) on symbols.
 
@@ -167,7 +167,8 @@ def check_laws(
 
 def generator_apply(P: SemigroupParams, f: MPoly) -> MPoly:
     """Generator on polynomials:
-    G f = (theta* + <z, l*>) f + sum_k (df/dz_k) (Omega z + q*)_k."""
+    G f = (theta* + <z, l*>) f + sum_k (df/dz_k) (Omega z + q*)_k;
+    ``ValueError`` naming G f where a coefficient overflows."""
     if f.dim != P.dim:
         raise ValueError("polynomial and semigroup dimensions differ")
     d = P.dim
@@ -177,12 +178,16 @@ def generator_apply(P: SemigroupParams, f: MPoly) -> MPoly:
     def affine(const: complex, linear: list) -> MPoly:
         return MPoly._owned(d, {(0,) * d: const, **dict(zip(units, linear))})
 
-    out = affine(P.theta_star, np.conj(P.ell_star).tolist()) * f
-    q_star, Omega = P.q_star.tolist(), P.Omega.tolist()
-    for k in range(d):
-        fk = f.partial(k)
-        if fk.coeffs:
-            out = out + fk * affine(q_star[k], Omega[k])
+    # with f and P valid, MPoly raises here only for a coefficient that overflows
+    try:
+        out = affine(P.theta_star, np.conj(P.ell_star).tolist()) * f
+        q_star, Omega = P.q_star.tolist(), P.Omega.tolist()
+        for k in range(d):
+            fk = f.partial(k)
+            if fk.coeffs:
+                out = out + fk * affine(q_star[k], Omega[k])
+    except ValueError as exc:
+        raise ValueError(f"G f overflows: {exc}") from exc
     return out
 
 

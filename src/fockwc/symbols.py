@@ -39,7 +39,6 @@ __all__ = [
     "identity_symbol",
     "evaluate",
     "act_on_kernel",
-    "act_on_kernels",
     "compose",
     "adjoint_symbol",
     "negate_theta",

@@ -1,0 +1,135 @@
+"""Argument checks that raise ``ValueError``, each with its exact message,
+and the command-line paths that only a malformed option or a near-tolerance
+residual reaches."""
+
+import json
+
+import numpy as np
+import pytest
+
+import fockwc as fw
+from fockwc import jsonio
+from fockwc.cli import run
+from fockwc.polynomials import MPoly
+
+S1, S2 = fw.identity_symbol(1), fw.identity_symbol(2)
+J1, J2 = fw.identity_conjugation(1), fw.identity_conjugation(2)
+P1 = fw.SemigroupParams([[0.5]], [1.0], [0.0], 0.0)
+F1 = fw.KernelCombo(1, [1.0], [[0.2]])
+F2 = fw.KernelCombo(2, [1.0], [[0.2, 0.1]])
+f1, f2 = MPoly(1, {(1,): 1.0}), MPoly(2, {(1, 0): 1.0})
+POINTS2 = [np.array([0.1, 0.2]), np.array([0.3, -0.1])]
+
+ERRORS = {
+    "check_J_selfadjoint": (lambda: fw.check_J_selfadjoint(S1, J2),
+                            "symbol and conjugation dimensions differ"),
+    "conjugate_by_J": (lambda: fw.conjugate_by_J(S1, J2),
+                       "symbol and conjugation dimensions differ"),
+    "compose": (lambda: fw.compose(S1, S2), "compose requires symbols of equal dimension"),
+    "symbol_distance": (lambda: fw.symbol_distance(S1, S2), "symbols have different dimensions"),
+    "pairing_defect": (lambda: fw.pairing_defect(S1, S2, POINTS2), "symbol dimensions differ"),
+    "j_symmetry_defect": (lambda: fw.j_symmetry_defect(S1, J2, POINTS2),
+                          "symbol and conjugation dimensions differ"),
+    "apply_symbol": (lambda: fw.apply_symbol(S1, F2), "symbol and combo dimensions differ"),
+    "apply_conjugation": (lambda: fw.apply_conjugation(J1, F2),
+                          "conjugation and combo dimensions differ"),
+    "inner": (lambda: fw.inner(F1, F2), "kernel combo dimensions differ"),
+    "KernelCombo.__add__": (lambda: F1 + F2, "kernel combo dimensions differ"),
+    "validate_J_conditions": (lambda: fw.validate_J_conditions(P1, J2),
+                              "semigroup and conjugation dimensions differ"),
+    "generator_apply": (lambda: fw.generator_apply(P1, f2),
+                        "polynomial and semigroup dimensions differ"),
+    "MPoly.__add__": (lambda: f1 + f2, "polynomial dimensions differ"),
+    "MPoly.__mul__": (lambda: f1 * f2, "polynomial dimensions differ"),
+    "symbol_at_inf": (lambda: fw.symbol_at(P1, float("inf")), "time must be finite"),
+    "check_laws_negative_time": (lambda: fw.check_laws(P1, -0.1, 0.2),
+                                 "times must be non-negative"),
+    "generator_fd_residual_h0": (lambda: fw.generator_fd_residual(P1, f1, 0.0),
+                                 "step h must be positive"),
+    "generator_fd_residual_small_N": (lambda: fw.generator_fd_residual(P1, f1, 0.1, N=2),
+                                      "need N >= deg(f) + 2"),
+    "exp_tail_negative_rho": (lambda: fw.exp_tail(-1.0, 4), "rho must be non-negative"),
+    "identity_symbol_0": (lambda: fw.identity_symbol(0), "dimension must be positive"),
+    "KernelCombo_0": (lambda: fw.KernelCombo(0, [], np.zeros((0, 0))),
+                      "dimension must be positive"),
+    "MPoly.partial_out_of_range": (lambda: f1.partial(3), "coordinate index out of range"),
+    "multi_indices_0": (lambda: fw.multi_indices(0, 1), "need d >= 1 and max_degree >= 0"),
+    "trunc_symbol_matrix_negative_N": (lambda: fw.trunc_symbol_matrix(S1, -1),
+                                       "truncation degree must be non-negative"),
+    "pairing_unequal_lengths": (lambda: fw.pairing([1.0], [1.0, 2.0]),
+                                "pairing requires vectors of equal length"),
+    "expm_not_square": (lambda: fw.expm([[1, 2]]), "matrix must be a non-empty square matrix"),
+    "matrix_from_json_ragged": (lambda: jsonio.matrix_from_json([[[1, 0], [2, 0]], [[3, 0]]]),
+                                "matrix must be square, row-major"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, message", ERRORS.values(), ids=ERRORS.keys())
+def test_error_message(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert excinfo.type is ValueError
+    assert str(excinfo.value) == message
+
+
+# a conjugation whose scalar residual | |c|^2 - 1 | is about 5e-10
+NEAR_VALID_J = {"d": 1, "A": [[[1.0, 0.0]]], "b": [[0.0, 0.0]], "c": [1.00000000025, 0.0]}
+SEMIGROUP = {"Omega": [[[0.5, 0]]], "q_star": [[1, 0]], "ell_star": [[0, 0]],
+             "theta_star": [0, 0]}
+
+CLI_CASES = {
+    # a valid --tol below the residual, which is at most 10 tol
+    "tol_indeterminate": (["validate-conjugation", "--in", "J.json", "--tol", "1e-10"], 1,
+                          "indeterminate", None),
+    "tol_not_a_number": (["validate-conjugation", "--in", "J.json", "--tol", "abc"], 2, None,
+                         "fockwc validate-conjugation: error: argument --tol: must be a "
+                         "positive finite number, got 'abc'\n"),
+    "samples_zero": (["semigroup-check", "--in", "P.json", "--samples", "0"], 2, None,
+                     "error: --samples must be at least 1\n"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code, verdict, err_tail", CLI_CASES.values(),
+                         ids=CLI_CASES.keys())
+def test_cli_error_path(tmp_path, capsys, argv, code, verdict, err_tail):
+    (tmp_path / "J.json").write_text(json.dumps(NEAR_VALID_J))
+    (tmp_path / "P.json").write_text(json.dumps(SEMIGROUP))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert run(argv) == code
+    out = capsys.readouterr()
+    if verdict is None:
+        assert out.out == ""
+        assert out.err.endswith(err_tail)
+    else:
+        assert out.err == ""
+        assert json.loads(out.out)["verdict"] == verdict
+
+
+# Omega z + q* = 1e200 (z + 1) times df/dz = 1e200 overflows in G f
+BIG_P = fw.SemigroupParams([[1e200]], [1e200], [0], 0)
+BIG_F = MPoly(1, {(1,): 1e200})
+
+
+@pytest.mark.filterwarnings("error")
+def test_generator_apply_overflow_names_G_f():
+    with pytest.raises(ValueError, match=r"^G f overflows: ") as excinfo:
+        fw.generator_apply(BIG_P, BIG_F)
+    assert excinfo.type is ValueError
+    # plain polynomial arithmetic keeps its own message
+    with pytest.raises(ValueError, match=r"^coefficient must be finite"):
+        BIG_F * BIG_F
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_generator_apply_overflow_names_G_f(tmp_path, capsys):
+    (tmp_path / "P.json").write_text(json.dumps(BIG_P.to_json()))
+    (tmp_path / "f.json").write_text(json.dumps(BIG_F.to_json()))
+    argv = ["generator-apply", "--in", str(tmp_path / "P.json"),
+            "--poly", str(tmp_path / "f.json")]
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: G f overflows: ")
+    assert out.err.count("\n") == 1
