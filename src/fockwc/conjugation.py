@@ -30,12 +30,8 @@ from .linalg import (
     DEFAULT_TOL,
     _residual_norms,
     adj,
-    as_matrix,
-    as_scalar,
     as_vector,
     derived,
-    fields_equal,
-    freeze,
     herm_eig,
     normal_eig,
     owned,
@@ -65,20 +61,13 @@ class ConjugationParams(Record):
     b: np.ndarray
     c: complex
 
-    __eq__ = fields_equal
     _JSON = ("conjugation", {"A": MATRIX, "b": VECTOR, "c": COMPLEX})
-
-    def __post_init__(self):
-        A = as_matrix(self.A, name="A")
-        freeze(self, A=A, b=as_vector(self.b, A.shape[0], "b"), c=as_scalar(self.c, "c"))
-
-    @property
-    def dim(self) -> int:
-        return self.b.size
 
 
 def identity_conjugation(d: int) -> ConjugationParams:
     """Coordinatewise conjugation f -> conj(f(conj(z))): (I, 0, 1)."""
+    if d < 1:
+        raise ValueError("dimension must be positive")
     return ConjugationParams(np.eye(d), np.zeros(d), 1.0)
 
 

@@ -4,9 +4,12 @@ Complex numbers are two-element arrays ``[re, im]``, vectors are lists of
 those, and matrices are row-major nested lists.  The encoding is fixed so
 files round-trip bit-identically and diff cleanly.
 
-A parameter pack (symbol, conjugation, semigroup) is a ``Record``, coded
-from one table of its fields.  Its files and points files share one rule:
-``"d"`` may be omitted, and when present must equal the decoded dimension.
+A parameter pack (symbol, conjugation, semigroup) is a ``Record``.  Each
+of its fields is declared once, in the class table ``_JSON``, by a kind
+``(encode, decode, coerce)``: that table gives the pack its constructor
+checks, its ``dim``, its ``==`` and its JSON.  Its files and points files
+share one rule: ``"d"`` may be omitted, and when present must equal the
+decoded dimension.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from __future__ import annotations
 import numbers
 
 import numpy as np
+
+from .linalg import as_matrix, as_scalar, as_vector, fields_equal, freeze
 
 __all__ = [
     "Record", "records", "check_dim", "COMPLEX", "VECTOR", "MATRIX",
@@ -100,23 +105,48 @@ def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
-COMPLEX = (complex_to_json, complex_from_json)
-VECTOR = (vector_to_json, vector_from_json)
-MATRIX = (matrix_to_json, matrix_from_json)
+# the kinds of field, each (encode, decode, coerce); ``coerce(value, d, name)``
+# checks a constructor argument against the dimension ``d``, None until the
+# first array has fixed it
+COMPLEX = (complex_to_json, complex_from_json, lambda z, d, name: as_scalar(z, name))
+VECTOR = (vector_to_json, vector_from_json, as_vector)
+MATRIX = (matrix_to_json, matrix_from_json, as_matrix)
 
 
 class Record:
-    """``to_json``/``from_json`` from the class table ``_JSON = (kind,
-    {field: (encode, decode)})``, fields in constructor order, and ``dim``."""
+    """A frozen dataclass coded from its table ``_JSON = (kind, {field:
+    (encode, decode, coerce)})``, fields in constructor order.  The
+    constructor coerces each field in that order, the first array fixing
+    the dimension ``dim`` that later arrays must match, and stores read-only
+    copies (``freeze``); ``==`` is ``fields_equal``."""
+
+    __eq__ = fields_equal
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._DIM = next(k for k, kind in cls._JSON[1].items() if kind in (VECTOR, MATRIX))
+
+    def __post_init__(self):
+        d = None
+        fields = {}
+        for name, (_, _, coerce) in self._JSON[1].items():
+            value = fields[name] = coerce(getattr(self, name), d, name)
+            if d is None and isinstance(value, np.ndarray):
+                d = len(value)
+        freeze(self, **fields)
+
+    @property
+    def dim(self) -> int:
+        return len(getattr(self, self._DIM))
 
     def to_json(self) -> dict:
         fields = self._JSON[1]
-        return {"d": self.dim, **{k: enc(getattr(self, k)) for k, (enc, _) in fields.items()}}
+        return {"d": self.dim, **{k: enc(getattr(self, k)) for k, (enc, _, _) in fields.items()}}
 
     @classmethod
     def from_json(cls, obj: dict):
         kind, fields = cls._JSON
-        decoders = {k: dec for k, (_, dec) in fields.items()}
+        decoders = {k: dec for k, (_, dec, _) in fields.items()}
         *values, d = read_fields(obj, kind, defaults={"d": None}, **decoders, d=int)
         value = cls(*values)
         check_dim(kind, d, value.dim)

@@ -37,7 +37,7 @@ blocks, and one first-order refinement when V* M V is off-diagonal by more
 than roundoff.  The result is accepted only if V* M V is diagonal to within
 1e-10 (1 + ||M||).  Its eigenvalues are then grouped in one pass over
 Python complex values: the connected components of |lambda_i - lambda_j| <=
-group_tol, ordered by their mean.
+1e-8 (1 + ||M||), ordered by their mean.
 """
 
 from __future__ import annotations
@@ -83,11 +83,12 @@ _HERM_MIX = math.sqrt(2.0) - 1.0
 # already-diagonal part by at most this much
 _SPLIT_MIXED = 1e-6
 _SPLIT_PART = 1e-11
+# herm_eig and normal_eig group eigenvalues within _GROUP_TOL (1 + ||M||);
 # normal_eig refines V once V* M V is off-diagonal by more than
-# _REFINE_TOL (1 + ||M||), correcting the mixing of eigenvalues farther
-# apart than _REFINE_GAP (1 + ||M||), the default group tolerance
+# _REFINE_TOL (1 + ||M||), correcting the mixing of eigenvalues in
+# different groups
+_GROUP_TOL = 1e-8
 _REFINE_TOL = 1e-14
-_REFINE_GAP = 1e-8
 # normal_eig accepts V* M V with this much off-diagonal mass, times 1 + ||M||
 _DIAG_TOL = 1e-10
 
@@ -402,14 +403,14 @@ class SpectralDecomposition:
 
 
 def _default_group_tol(nrm: float) -> float:
-    return 1e-8 * (1.0 + nrm)
+    return _GROUP_TOL * (1.0 + nrm)
 
 
-def herm_eig(M, group_tol: float | None = None) -> SpectralDecomposition:
+def herm_eig(M) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix with eigenvalue grouping.
 
     Eigenvalues come out real, sorted ascending, and clustered whenever
-    consecutive gaps are at most ``group_tol`` (default ``1e-8*(1+||M||)``).
+    consecutive gaps are at most ``1e-8*(1+||M||)``.
     Raises ``PreconditionError`` if the input is not Hermitian to within
     ``1e-12*(1+||M||)``.
     """
@@ -419,8 +420,7 @@ def herm_eig(M, group_tol: float | None = None) -> SpectralDecomposition:
         raise PreconditionError("herm_eig requires a Hermitian matrix")
     # halves first: M + M* overflows where M's entries are near the limit
     w, V = np.linalg.eigh(0.5 * M + 0.5 * adj(M))
-    gtol = _default_group_tol(nrm) if group_tol is None else float(group_tol)
-    cuts = _cuts(w, gtol)
+    cuts = _cuts(w, _default_group_tol(nrm))
     groups = tuple(tuple(range(lo, hi)) for lo, hi in zip(cuts, cuts[1:]))
     return SpectralDecomposition(V, w.astype(np.complex128), groups)
 
@@ -495,7 +495,7 @@ def _refine(V: np.ndarray, eigs: np.ndarray, E: np.ndarray, gap: float) -> np.nd
     return np.linalg.qr(V + V @ X)[0]
 
 
-def normal_eig(M, group_tol: float | None = None) -> SpectralDecomposition:
+def normal_eig(M) -> SpectralDecomposition:
     """Unitary diagonalization of a normal matrix, complex eigenvalues.
 
     The Hermitian parts H1 = (M + M*)/2 and H2 = (M - M*)/(2i) of a normal
@@ -509,16 +509,17 @@ def normal_eig(M, group_tol: float | None = None) -> SpectralDecomposition:
     V* M V, and ``PreconditionError`` is raised if its off-diagonal part
     (Frobenius norm) exceeds ``1e-10*(1+||M||)``.  Columns are permuted so
     that eigenvalue groups occupy contiguous index ranges: one pairwise pass
-    labels the connected components of |lambda_i - lambda_j| <= ``group_tol``
-    (chains included), which are ordered by the real then imaginary part of
-    the group mean, ties smallest index first; members keep index order.
+    labels the connected components of |lambda_i - lambda_j| <=
+    ``1e-8*(1+||M||)`` (chains included), which are ordered by the real
+    then imaginary part of the group mean, ties smallest index first;
+    members keep index order.
     Raises ``PreconditionError`` when ``||MM* - M*M|| > 1e-10 ||M||^2``.
     """
     M = as_matrix(M)
     nrm, comm_nrm = _residual_norms(M, "M", "X", "X X* - X* X")
     if comm_nrm > 1e-10 * nrm * nrm + 1e-300:
         raise PreconditionError("normal_eig requires a normal matrix")
-    scale = 1.0 + nrm
+    scale, gtol = 1.0 + nrm, _default_group_tol(nrm)
     # H1 + gamma H2 = ((1 - i gamma) M + (1 + i gamma) M*) / 2
     w, V = np.linalg.eigh(0.5 * ((1.0 - 1j * _HERM_MIX) * M + (1.0 + 1j * _HERM_MIX) * adj(M)))
     D = adj(V) @ M @ V
@@ -536,14 +537,13 @@ def normal_eig(M, group_tol: float | None = None) -> SpectralDecomposition:
     eigs, E = _split_diagonal(D)
     off = np.linalg.norm(E)
     if off > _REFINE_TOL * scale:
-        V = _refine(V, eigs, E, _REFINE_GAP * scale)
+        V = _refine(V, eigs, E, gtol)
         eigs, E = _split_diagonal(adj(V) @ M @ V)
         off = np.linalg.norm(E)
     if off > _DIAG_TOL * scale:
         raise PreconditionError(
             f"normal_eig: V* M V is off-diagonal by {off:.3e}; no unitary diagonalization found"
         )
-    gtol = _default_group_tol(nrm) if group_tol is None else float(group_tol)
     perm, groups = _eigenvalue_groups(eigs, gtol)
     return SpectralDecomposition(V[:, perm], eigs[perm], groups)
 

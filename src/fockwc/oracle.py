@@ -483,7 +483,7 @@ def poly_coeff_vector(f: MPoly, N: int) -> np.ndarray:
 def exp_tail(rho: float, N: int) -> float:
     """Tail of the exponential series: sum_{k>N} rho^k / k!, or ``inf``
     where rho^(N+1) overflows."""
-    if rho < 0:
+    if not rho >= 0:
         raise ValueError("rho must be non-negative")
     try:
         term = rho ** (N + 1) / math.factorial(N + 1)

@@ -31,8 +31,7 @@ import numpy as np
 from .jsonio import COMPLEX, MATRIX, VECTOR, Record
 from .conjugation import ConjugationParams, require_valid
 from .linalg import (
-    DEFAULT_TOL, _residual_norms, adj, as_matrix, as_scalar, as_vector, expm_phi12, fields_equal,
-    freeze, pairing, residuals_within,
+    DEFAULT_TOL, _residual_norms, adj, as_vector, expm_phi12, pairing, residuals_within,
 )
 # unused here, but kept as module attributes that benchmarks/tracing.py wraps
 from .linalg import expm, op_norm, phi12  # noqa: F401
@@ -63,24 +62,8 @@ class SemigroupParams(Record):
     ell_star: np.ndarray
     theta_star: complex
 
-    __eq__ = fields_equal
     _JSON = ("semigroup", {"Omega": MATRIX, "q_star": VECTOR,
                            "ell_star": VECTOR, "theta_star": COMPLEX})
-
-    def __post_init__(self):
-        Omega = as_matrix(self.Omega, name="Omega")
-        d = Omega.shape[0]
-        freeze(
-            self,
-            Omega=Omega,
-            q_star=as_vector(self.q_star, d, "q_star"),
-            ell_star=as_vector(self.ell_star, d, "ell_star"),
-            theta_star=as_scalar(self.theta_star, "theta_star"),
-        )
-
-    @property
-    def dim(self) -> int:
-        return self.q_star.size
 
 
 def symbol_at(P: SemigroupParams, t: float, tol: float = 1e-13) -> WcSymbol:

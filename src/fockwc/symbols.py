@@ -80,6 +80,10 @@ def _nonzero(theta: complex) -> complex:
     return theta
 
 
+# the kind of a symbol's theta: a finite, nonzero complex number
+_THETA = (*COMPLEX[:2], lambda z, d, name: _nonzero(as_scalar(z, name)))
+
+
 @dataclass(frozen=True, eq=False)
 class ScaledKernel:
     """A scalar multiple of one reproducing kernel: coeff * K_point."""
@@ -116,15 +120,7 @@ class WcSymbol(Record):
     Q: np.ndarray
     q: np.ndarray
 
-    __eq__ = fields_equal
-    _JSON = ("symbol", {"theta": COMPLEX, "ell": VECTOR, "Q": MATRIX, "q": VECTOR})
-
-    def __post_init__(self):
-        theta = _nonzero(as_scalar(self.theta, "theta"))
-        ell = as_vector(self.ell, name="ell")
-        d = ell.size
-        Q, q = as_matrix(self.Q, d, "Q"), as_vector(self.q, d, "q")
-        freeze(self, theta=theta, ell=ell, Q=Q, q=q)
+    _JSON = ("symbol", {"theta": _THETA, "ell": VECTOR, "Q": MATRIX, "q": VECTOR})
 
     @classmethod
     def _owned(cls, theta: complex, ell: np.ndarray, Q: np.ndarray, q: np.ndarray) -> WcSymbol:
@@ -132,10 +128,6 @@ class WcSymbol(Record):
         (``linalg.owned``).  The public messages keep their order: theta is
         tested for zero first, which only a finite theta can fail."""
         return owned(cls, theta=_nonzero(theta), ell=ell, Q=Q, q=q)
-
-    @property
-    def dim(self) -> int:
-        return self.ell.size
 
 
 def identity_symbol(d: int) -> WcSymbol:
