@@ -201,8 +201,16 @@ def _cmd_oracle_defect(args) -> dict:
 # --- parser and entry point ---------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage error is one stderr line, as every other
+    error of the tool: ``fockwc <cmd>: error: ...``, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fockwc",
         description=(
             "Weighted composition operators on the Fock space: validate "

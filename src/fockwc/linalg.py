@@ -27,7 +27,14 @@ an overflowing residual raises ``ValueError`` naming it, as ``"Q - Q*"``.
 The exponential scales its input by a power of two, cuts the Taylor series
 at the degree m that the remainder bound picks from ``tol``, evaluates that
 polynomial by Paterson-Stockmeyer in about 2 sqrt(m) matrix products
-instead of m, and squares back.
+instead of m, and squares back.  ``expm`` and ``expm_phi12`` also take a
+stack (k, n, n), such as t Omega on a grid of times, and a single matrix is
+a stack of one.  Each member keeps the scaling power of its own 1-norm;
+all share one degree, the largest of the members' own, so every product is
+one matmul on the stack.  ``tol`` keeps its meaning for each member: a
+member whose own degree is lower only gains terms, which lowers its
+remainder, and a member of the shared degree gets its single-matrix bits
+(from n = 2 on, so for every augmented matrix of ``expm_phi12``).
 
 NumPy is the only dependency.  Normal matrices are diagonalized through
 their commuting Hermitian parts H1 = (M + M*)/2 and H2 = (M - M*)/(2i):
@@ -100,16 +107,29 @@ def _all_finite(arr: np.ndarray) -> bool:
 
 
 def as_scalar(z, name: str = "scalar") -> complex:
-    """Coerce to a finite complex number or raise ``ValueError``."""
-    z = complex(z)
+    """Coerce to a finite complex number or raise ``ValueError``, which
+    names the value first."""
+    try:
+        z = complex(z)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a complex number, got {z!r}") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"{name} must be finite, got {z!r}")
     return z
 
 
+def _as_complex_array(a, name: str) -> np.ndarray:
+    """``a`` as a complex array, or ``ValueError`` naming it where an entry
+    is not a number."""
+    try:
+        return np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an array of complex numbers") from None
+
+
 def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
     """Coerce to a finite complex 1-d array, optionally of length ``dim``."""
-    arr = np.asarray(v, dtype=np.complex128)
+    arr = _as_complex_array(v, name)
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if arr.ndim != 1 or arr.size == 0:
@@ -123,7 +143,7 @@ def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
 
 def as_matrix(M, dim: int | None = None, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite square complex matrix, optionally of size ``dim``."""
-    arr = np.asarray(M, dtype=np.complex128)
+    arr = _as_complex_array(M, name)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
@@ -210,8 +230,8 @@ def pairing(u, v) -> complex:
 
 
 def adj(M: np.ndarray) -> np.ndarray:
-    """Matrix adjoint M* = conj(M).T."""
-    return np.conj(np.asarray(M)).T
+    """Matrix adjoint M* = conj(M).T, of each member of a stack (k, n, n)."""
+    return np.conj(np.asarray(M)).swapaxes(-1, -2)
 
 
 def op_norm(M) -> float:
@@ -294,8 +314,24 @@ def _ps_table(m: int) -> tuple[int, np.ndarray]:
     return table
 
 
+def _as_stack(M) -> tuple[np.ndarray, bool]:
+    """``M`` as a complex stack (k, n, n), k >= 1, and whether it was one: a
+    square matrix (``as_matrix``) is a stack of one, and a stack's members
+    are checked as ``as_matrix`` checks one, with its messages."""
+    arr = _as_complex_array(M, "matrix")
+    if arr.ndim != 3:
+        return as_matrix(arr)[None], False
+    k, n, m = arr.shape
+    if not (k and n == m and n):
+        raise ValueError("matrix stack must hold non-empty square matrices")
+    if not _all_finite(arr):
+        raise ValueError("matrix contains non-finite entries")
+    return arr, True
+
+
 def expm(M, tol: float = 1e-14) -> np.ndarray:
-    """Matrix exponential by scaling and squaring of a truncated series.
+    """Matrix exponential by scaling and squaring of a truncated series, of
+    a square matrix or of each member of a stack (k, n, n).
 
     The input is scaled by a power of two until its 1-norm is at most 1/2,
     and the Taylor series is cut at the least degree m whose analytic
@@ -310,57 +346,85 @@ def expm(M, tol: float = 1e-14) -> np.ndarray:
     products instead of m.  The result is then repeatedly squared.  The
     truncation level is what ``tol`` controls; it cannot go below double
     precision (~1e-16), where the series is summed to machine accuracy.
-    Overflow of the 1-norm of the input or of the result raises ``ValueError``.
+
+    A stack is one computation: each member takes the scaling power of its
+    own 1-norm, and all share the largest of their own degrees.  A member
+    whose own degree is lower only gains terms, so its remainder stays
+    below ``tol``, and one whose degree is the shared one gets the bits it
+    gets alone (from n = 2 on: alone, a 1 x 1 matrix takes BLAS's
+    matrix-vector product for its blocks).  Every product is one matmul on
+    the stack; squaring runs on the members, in descending order of scaling
+    power, that still need it.  A matrix is a stack of one.  Overflow of the
+    1-norm of a member or of a result raises ``ValueError``.
     """
-    M = as_matrix(M)
+    stack, stacked = _as_stack(M)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    n = M.shape[0]
+    k, n = stack.shape[:2]
     # overflow surfaces as one of the two ValueErrors, never as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        # the reduction np.linalg.norm(M, 1) computes, without its dispatch
-        nrm = float(np.abs(M).sum(axis=0).max())
-        if not math.isfinite(nrm):
-            raise ValueError("matrix 1-norm is not finite")
-        s = _scaling_power(nrm)
-        # 2**-s stays representable where 2**s overflows (s > 1023)
-        X = M * 2.0 ** -s
-        q, C = _ps_table(_taylor_degree(min(nrm * 2.0 ** -s, 0.5), tol))
-        powers = np.zeros((q + 1, n, n), dtype=np.complex128)  # I, X ... X^q
-        powers[0].ravel()[:: n + 1] = 1.0
-        powers[1] = X
+        # each member's s from its 1-norm, the reduction np.linalg.norm(M, 1)
+        # computes, without its dispatch; x is the largest scaled norm
+        s, x = [], 0.0
+        for nrm in np.abs(stack).sum(axis=1).max(axis=1).tolist():
+            if not math.isfinite(nrm):
+                raise ValueError("matrix 1-norm is not finite")
+            s.append(_scaling_power(nrm))
+            # 2**-s stays representable where 2**s overflows (s > 1023)
+            x = max(x, nrm * 2.0 ** -s[-1])
+        # the degree grows with the norm: x gives the largest member degree
+        q, C = _ps_table(_taylor_degree(min(x, 0.5), tol))
+        powers = np.zeros((q + 1, k, n, n), dtype=np.complex128)  # I, X ... X^q
+        powers[0].reshape(k, -1)[:, :: n + 1] = 1.0
+        # X holds the members in descending order of s, so that the members
+        # still squaring are always a prefix
+        order = sorted(range(k), key=s.__getitem__, reverse=True)
+        X = powers[1]
+        for j, i in enumerate(order):
+            np.multiply(stack[i], 2.0 ** -s[i], X[j])
         for i in range(2, q + 1):
             np.matmul(powers[i - 1], X, out=powers[i])
         # every block at once, then Horner's rule in X^q
-        blocks = (C @ powers.reshape(q + 1, -1)).reshape(-1, n, n)
+        blocks = (C @ powers.reshape(q + 1, -1)).reshape(-1, k, n, n)
         acc = blocks[-1]
         for j in range(blocks.shape[0] - 2, -1, -1):
             acc = acc @ powers[q]
             acc += blocks[j]
-        for _ in range(s):
-            acc = acc @ acc
-    if not np.isfinite(acc).all():
+        # square the prefix up to the next member's s, then set that member aside
+        out = np.empty_like(stack)
+        done = 0
+        for j in range(k - 1, -1, -1):
+            for _ in range(s[order[j]] - done):
+                acc = acc @ acc
+            done = s[order[j]]
+            out[order[j]] = acc[j]
+            acc = acc[:j]
+    if not _all_finite(out):
         raise ValueError("matrix exponential is not finite")
-    return acc
+    return out if stacked else out[0]
 
 
 def expm_phi12(M, tol: float = 1e-14) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """expm(M), phi1(M) and phi2(M) from one augmented exponential.
+    """expm(M), phi1(M) and phi2(M) from one augmented exponential, of a
+    square matrix or of each member of a stack (k, n, n).
 
     exp of the block matrix [[M, I, 0], [0, 0, I], [0, 0, 0]] carries
     expm(M), phi1(M) and phi2(M) in its first block row, which avoids any
-    inverse of ``M`` and therefore works for singular input.
+    inverse of ``M`` and therefore works for singular input.  A stack's
+    augmented matrices go through ``expm`` as one stack, with its shared
+    degree and each member's own scaling power.
     """
-    M = as_matrix(M)
-    d = M.shape[0]
+    stack, stacked = _as_stack(M)
+    k, d = stack.shape[:2]
     n = 3 * d
-    W = np.zeros((n, n), dtype=np.complex128)
-    W[:d, :d] = M
+    W = np.zeros((k, n, n), dtype=np.complex128)
+    W[:, :d, :d] = stack
     # the two identity blocks are the entries (i, i + d), i < 2d: every
-    # (n+1)-th entry of the flat array from d on, the last at 2dn - 1
-    W.ravel()[d : 2 * d * n : n + 1] = 1.0
+    # (n+1)-th entry of a member's flat array from d on, the last at 2dn - 1
+    W.reshape(k, -1)[:, d : 2 * d * n : n + 1] = 1.0
     E = expm(W, tol)
-    return E[:d, :d].copy(), E[:d, d:2 * d].copy(), E[:d, 2 * d:].copy()
+    E = E if stacked else E[0]
+    return E[..., :d, :d].copy(), E[..., :d, d:2 * d].copy(), E[..., :d, 2 * d:].copy()
 
 
 def phi12(M, tol: float = 1e-14) -> tuple[np.ndarray, np.ndarray]:

@@ -38,13 +38,14 @@ from .linalg import expm, op_norm, phi12  # noqa: F401
 from .oracle import poly_coeff_vector, trunc_symbol_matrix, _tables
 from .polynomials import MPoly
 from .symbols import (
-    WcSymbol, _equality_bound, _theta_times_exp, act_on_kernel, compose, identity_symbol,
-    symbol_distance,
+    WcSymbol, _equality_bound, _magnitude, _theta_times_exp, act_on_kernel, compose,
+    identity_symbol, symbol_distance,
 )
 
 __all__ = [
     "SemigroupParams",
     "symbol_at",
+    "symbols_at",
     "validate_J_conditions",
     "check_laws",
     "generator_apply",
@@ -74,24 +75,51 @@ def symbol_at(P: SemigroupParams, t: float, tol: float = 1e-13) -> WcSymbol:
     I + t Omega phi1(t Omega), which cancels when e^{t Omega} is small.
     l_t uses the adjoint of phi1(t Omega), which equals phi1(t Omega*)
     identically (real series coefficients) and keeps the two coefficient
-    paths numerically in step.
+    paths numerically in step.  It is ``symbols_at(P, [t], tol)[0]``.
     """
-    t = float(t)
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    if not math.isfinite(t):
-        raise ValueError("time must be finite")
-    if t == 0.0:
-        return identity_symbol(P.dim)
-    Q_t, p1, p2 = expm_phi12(t * P.Omega, tol)
-    # an overflowing component is rejected by name in pairing or WcSymbol, not warned
-    with np.errstate(over="ignore", invalid="ignore"):
-        q_t = t * (p1 @ P.q_star)
-        ell_t = t * (adj(p1) @ P.ell_star)
-        q_integral = t * t * (p2 @ P.q_star)
-    expo = P.theta_star * t + pairing(q_integral, P.ell_star)
-    theta_t = _theta_times_exp(1.0, expo, f"theta_t at t = {t!r}", lambda: 0.0)
-    return WcSymbol._owned(theta_t, ell_t, Q_t, q_t)
+    return symbols_at(P, [t], tol)[0]
+
+
+def symbols_at(P: SemigroupParams, times, tol: float = 1e-13) -> list[WcSymbol]:
+    """The symbols of the semigroup at each of ``times``, in order.
+
+    Each time is checked as ``symbol_at`` checks it, with its messages, and
+    t = 0 gives the identity symbol exactly.  The positive times share one
+    stacked ``expm_phi12``: each e^{t Omega} keeps its own scaling power,
+    all share the largest Taylor degree, so each stays within ``tol``.  A
+    single time gives ``symbol_at``'s bits, as does any time whose own
+    degree is the shared one.  A theta_t that overflows or underflows is
+    named with its own time.
+    """
+    times = [float(t) for t in times]
+    positive = []
+    for t in times:
+        if t < 0:
+            raise ValueError("time must be non-negative")
+        if not math.isfinite(t):
+            raise ValueError("time must be finite")
+        if t > 0:
+            positive.append(t)
+    computed = []
+    if positive:
+        # never a warning: an overflowing t Omega is rejected by expm_phi12,
+        # an overflowing component by name in pairing or WcSymbol
+        with np.errstate(over="ignore", invalid="ignore"):
+            # one product per time: for one time, cheaper than a broadcast
+            tOmega = np.empty((len(positive), *P.Omega.shape), dtype=np.complex128)
+            for t, M in zip(positive, tOmega):
+                np.multiply(t, P.Omega, M)
+            Q, p1, p2 = expm_phi12(tOmega, tol)
+            p1_q, p1_ell, p2_q = p1 @ P.q_star, adj(p1) @ P.ell_star, p2 @ P.q_star
+            for t, Q_t, a, b, c in zip(positive, Q, p1_q, p1_ell, p2_q):
+                q_t, ell_t, q_integral = t * a, t * b, t * t * c
+                expo = P.theta_star * t + pairing(q_integral, P.ell_star)
+                theta_t = _theta_times_exp(1.0, expo, f"theta_t at t = {t!r}", lambda: 0.0)
+                computed.append(WcSymbol._owned(theta_t, ell_t, Q_t, q_t))
+    for i, t in enumerate(times):
+        if t == 0:
+            computed.insert(i, identity_symbol(P.dim))
+    return computed
 
 
 def validate_J_conditions(
@@ -135,16 +163,18 @@ def check_laws(
     """Semiflow/semicocycle laws: C(t) C(s) = C(t+s) on symbols.
 
     Both compose orders are tested (the coefficient flows commute), and the
-    returned defect is the worst componentwise deviation.
+    returned defect is the worst componentwise deviation.  The three
+    symbols come from one ``symbols_at`` grid.
     """
     if t < 0 or s < 0:
         raise ValueError("times must be non-negative")
-    S_t = symbol_at(P, t)
-    S_s = symbol_at(P, s)
-    S_ts = symbol_at(P, t + s)
+    S_t, S_s, S_ts = symbols_at(P, (t, s, t + s))
     products = (compose(S_t, S_s), compose(S_s, S_t))
     distances = [symbol_distance(C, S_ts) for C in products]
-    ok = all(dist <= _equality_bound(C, S_ts, tol) for C, dist in zip(products, distances))
+    size = _magnitude(S_ts)
+    ok = all(
+        dist <= _equality_bound(_magnitude(C), size, tol) for C, dist in zip(products, distances)
+    )
     return ok, max(distances)
 
 

@@ -229,15 +229,16 @@ def symbol_distance(S1: WcSymbol, S2: WcSymbol) -> float:
         raise ValueError("symbols have different dimensions")
     pairs = ((S1.ell, S2.ell), (S1.Q, S2.Q), (S1.q, S2.q))
     with np.errstate(over="ignore", invalid="ignore"):
-        return max(_modulus(S1.theta - S2.theta), *(float(np.max(np.abs(a - b))) for a, b in pairs))
+        return max(_modulus(S1.theta - S2.theta), *(float(np.abs(a - b).max()) for a, b in pairs))
 
 
 def _magnitude(S: WcSymbol) -> float:
+    """Largest componentwise modulus of a symbol; ``inf`` where one overflows."""
     return max(
         _modulus(S.theta),
-        float(np.max(np.abs(S.ell))) if S.ell.size else 0.0,
-        float(np.max(np.abs(S.Q))),
-        float(np.max(np.abs(S.q))) if S.q.size else 0.0,
+        float(np.abs(S.ell).max()) if S.ell.size else 0.0,
+        float(np.abs(S.Q).max()),
+        float(np.abs(S.q).max()) if S.q.size else 0.0,
     )
 
 
@@ -248,12 +249,13 @@ def symbols_equal(S1: WcSymbol, S2: WcSymbol, tol: float = 1e-10) -> bool:
     exponent, Q and q from phi), so this decides equality of the operators
     on their common class.  An overflowing distance is ``inf``: unequal.
     """
-    return symbol_distance(S1, S2) <= _equality_bound(S1, S2, tol)
+    return symbol_distance(S1, S2) <= _equality_bound(_magnitude(S1), _magnitude(S2), tol)
 
 
-def _equality_bound(S1: WcSymbol, S2: WcSymbol, tol: float) -> float:
-    """The largest ``symbol_distance`` at which ``symbols_equal`` holds.  Where
-    a magnitude overflows, the scale is the largest float: the bound stays
-    relative, and an overflowing distance unequal."""
-    scale = min(1.0 + max(_magnitude(S1), _magnitude(S2)), _FLOAT_MAX)
+def _equality_bound(size1: float, size2: float, tol: float) -> float:
+    """The largest ``symbol_distance`` at which ``symbols_equal`` holds, for
+    symbols of ``_magnitude`` ``size1`` and ``size2``.  Where a magnitude
+    overflows, the scale is the largest float: the bound stays relative, and
+    an overflowing distance unequal."""
+    scale = min(1.0 + max(size1, size2), _FLOAT_MAX)
     return max(tol * scale, _EQ_FLOOR)

@@ -61,6 +61,18 @@ ERRORS = {
     "expm_not_square": (lambda: fw.expm([[1, 2]]), "matrix must be a non-empty square matrix"),
     "matrix_from_json_ragged": (lambda: jsonio.matrix_from_json([[[1, 0], [2, 0]], [[3, 0]]]),
                                 "matrix must be square, row-major"),
+    "WcSymbol_string_theta": (lambda: fw.WcSymbol("x", [1], [[1]], [0]),
+                              "theta must be a complex number, got 'x'"),
+    "WcSymbol_string_ell": (lambda: fw.WcSymbol(1, "abc", [[1]], [0]),
+                            "ell must be an array of complex numbers"),
+    "WcSymbol_None_theta": (lambda: fw.WcSymbol(None, [1], [[1]], [0]),
+                            "theta must be a complex number, got None"),
+    "WcSymbol_object_in_q": (lambda: fw.WcSymbol(1, [1], [[1]], [object()]),
+                             "q must be an array of complex numbers"),
+    "ConjugationParams_string_c": (lambda: fw.ConjugationParams([[1]], [0], "c"),
+                                   "c must be a complex number, got 'c'"),
+    "SemigroupParams_string_theta_star": (lambda: fw.SemigroupParams([[0.5]], [1.0], [0.0], "z"),
+                                          "theta_star must be a complex number, got 'z'"),
 }
 
 
@@ -105,6 +117,23 @@ def test_cli_error_path(tmp_path, capsys, argv, code, verdict, err_tail):
     else:
         assert out.err == ""
         assert json.loads(out.out)["verdict"] == verdict
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate-conjugation", "--in", "J.json", "--tol", "abc"],
+    ["validate-conjugation", "--tol", "abc"],
+    ["classify"],
+    ["no-such-command"],
+    ["adjoint", "--in", "J.json", "--bogus", "1"],
+], ids=["tol-not-a-number", "tol-without-in", "missing-in", "unknown-command", "unknown-option"])
+def test_cli_usage_error_is_one_stderr_line(tmp_path, capsys, argv):
+    (tmp_path / "J.json").write_text(json.dumps(NEAR_VALID_J))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1
+    assert out.err.startswith("fockwc") and ": error: " in out.err
 
 
 # Omega z + q* = 1e200 (z + 1) times df/dz = 1e200 overflows in G f
