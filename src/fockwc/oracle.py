@@ -44,7 +44,7 @@ from . import jsonio
 from .conjugation import ConjugationParams, apply_to_kernels, require_valid
 from .conjugation import apply_to_kernel  # noqa: F401  wrapped here by benchmarks/tracing.py
 from .errors import DegreeCapError, PreconditionError
-from .linalg import as_scalar, as_vector, fields_equal, freeze, op_norm, owned
+from .linalg import _as_complex_array, as_scalar, as_vector, fields_equal, freeze, op_norm, owned
 from .polynomials import MPoly, mi_factorial, multi_indices
 from .symbols import ScaledKernel, WcSymbol, act_on_kernel, act_on_kernels, adjoint_symbol
 
@@ -99,8 +99,8 @@ class KernelCombo:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be positive")
-        coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        points = np.asarray(self.points, dtype=np.complex128)
+        coeffs = _as_complex_array(self.coeffs, "coeffs")
+        points = _as_complex_array(self.points, "points")
         if coeffs.ndim != 1 or points.shape != (coeffs.size, self.dim):  # never reshaped to fit
             shapes = f"{coeffs.shape}, {points.shape} != (m,), (m, {self.dim})"
             raise ValueError(f"kernel combo shapes {shapes}")
@@ -287,6 +287,9 @@ def j_symmetry_defect(S: WcSymbol, J: ConjugationParams, points) -> float:
     a_J, P_J = apply_to_kernels(J, Z)
     E = _log_gram(a_S, P_S, a_J, P_J)
     coeff = S.theta * np.conj(J.c)
+    if coeff == 0:  # the shift takes its log
+        log_mag = math.log(abs(S.theta)) + math.log(abs(J.c))
+        raise ValueError(f"theta * conj(c) underflows to zero: log-magnitude {log_mag:.6g}")
     # the other side, coeff exp(E^t), is this one's transpose, entry for entry
     c = _shift((coeff, E))
     lhs = coeff * np.exp(E - c)

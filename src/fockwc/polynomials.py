@@ -70,7 +70,10 @@ class MPoly:
             raise ValueError("dimension must be positive")
         clean: dict[tuple[int, ...], complex] = {}
         for alpha, c in self.coeffs.items():
-            alpha = tuple(int(a) for a in alpha)
+            try:
+                alpha = tuple(int(a) for a in alpha)
+            except (TypeError, ValueError):
+                raise ValueError(f"bad multi-index {alpha!r}") from None
             if len(alpha) != self.dim or any(a < 0 for a in alpha):
                 raise ValueError(f"bad multi-index {alpha!r}")
             c = as_scalar(c, "coefficient")

@@ -168,7 +168,11 @@ def check_laws(
     """
     if t < 0 or s < 0:
         raise ValueError("times must be non-negative")
-    S_t, S_s, S_ts = symbols_at(P, (t, s, t + s))
+    return _laws(*symbols_at(P, (t, s, t + s)), tol)
+
+
+def _laws(S_t: WcSymbol, S_s: WcSymbol, S_ts: WcSymbol, tol: float) -> tuple[bool, float]:
+    """``check_laws`` on the symbols at t, s and t + s."""
     products = (compose(S_t, S_s), compose(S_s, S_t))
     distances = [symbol_distance(C, S_ts) for C in products]
     size = _magnitude(S_ts)

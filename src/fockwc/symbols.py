@@ -234,12 +234,8 @@ def symbol_distance(S1: WcSymbol, S2: WcSymbol) -> float:
 
 def _magnitude(S: WcSymbol) -> float:
     """Largest componentwise modulus of a symbol; ``inf`` where one overflows."""
-    return max(
-        _modulus(S.theta),
-        float(np.abs(S.ell).max()) if S.ell.size else 0.0,
-        float(np.abs(S.Q).max()),
-        float(np.abs(S.q).max()) if S.q.size else 0.0,
-    )
+    return max(_modulus(S.theta), float(np.abs(S.ell).max()), float(np.abs(S.Q).max()),
+               float(np.abs(S.q).max()))
 
 
 def symbols_equal(S1: WcSymbol, S2: WcSymbol, tol: float = 1e-10) -> bool:

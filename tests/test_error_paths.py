@@ -3,6 +3,7 @@ and the command-line paths that only a malformed option or a near-tolerance
 residual reaches."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,10 @@ F1 = fw.KernelCombo(1, [1.0], [[0.2]])
 F2 = fw.KernelCombo(2, [1.0], [[0.2, 0.1]])
 f1, f2 = MPoly(1, {(1,): 1.0}), MPoly(2, {(1, 0): 1.0})
 POINTS2 = [np.array([0.1, 0.2]), np.array([0.3, -0.1])]
+
+# |c|^2 e^{|b|^2} = 1: a valid J whose c is e^-450
+TINY_C_J = fw.ConjugationParams([[1]], [30j], math.exp(-450))
+TINY_S = fw.WcSymbol(1e-200, [0.1], [[0.5]], [0.2])
 
 ERRORS = {
     "check_J_selfadjoint": (lambda: fw.check_J_selfadjoint(S1, J2),
@@ -73,6 +78,14 @@ ERRORS = {
                                    "c must be a complex number, got 'c'"),
     "SemigroupParams_string_theta_star": (lambda: fw.SemigroupParams([[0.5]], [1.0], [0.0], "z"),
                                           "theta_star must be a complex number, got 'z'"),
+    "KernelCombo_string_coeff": (lambda: fw.KernelCombo(1, ["x"], [[0]]),
+                                 "coeffs must be an array of complex numbers"),
+    "MPoly_string_index": (lambda: MPoly(1, {("x",): 1}), "bad multi-index ('x',)"),
+    "MPoly_int_key": (lambda: MPoly(1, {5: 1}), "bad multi-index 5"),
+    # theta conj(c) = 1e-200 e^-450 underflows for a valid J and a valid symbol
+    "j_symmetry_defect_coeff_underflow": (
+        lambda: fw.j_symmetry_defect(TINY_S, TINY_C_J, [[0.1], [0.3]]),
+        "theta * conj(c) underflows to zero: log-magnitude -910.517"),
 }
 
 
@@ -162,3 +175,16 @@ def test_cli_generator_apply_overflow_names_G_f(tmp_path, capsys):
     assert out.out == ""
     assert out.err.startswith("error: G f overflows: ")
     assert out.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_j_symmetry_defect_underflow_names_theta_conj_c(tmp_path, capsys):
+    (tmp_path / "S.json").write_text(json.dumps(TINY_S.to_json()))
+    (tmp_path / "J.json").write_text(json.dumps(TINY_C_J.to_json()))
+    (tmp_path / "pts.json").write_text(json.dumps({"points": [[[0.1, 0]], [[0.3, 0]]]}))
+    argv = ["oracle-defect", "--in", str(tmp_path / "S.json"), "--conj", str(tmp_path / "J.json"),
+            "--points", str(tmp_path / "pts.json")]
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: theta * conj(c) underflows to zero: log-magnitude -910.517\n"

@@ -19,11 +19,13 @@ from fockwc import (
     phi2,
 )
 from fockwc.linalg import (
+    _EXPM_MAX_TERMS,
     _default_group_tol,
     _eigenvalue_groups,
     _op_norms,
     _scaling_power,
     _taylor_degree,
+    as_matrix,
     expm_phi12,
 )
 from helpers import (
@@ -406,3 +408,19 @@ def test_expm_phi12_augmented_matrix_is_the_block_matrix():
         blocks = (E[:d, :d], E[:d, d:2 * d], E[:d, 2 * d:])
         for got, want in zip(expm_phi12(M, 1e-13), blocks):
             assert np.array_equal(got, want)
+
+
+def test_as_matrix_of_a_number_is_one_by_one():
+    M = as_matrix(2.5)
+    assert M.shape == (1, 1) and M[0, 0] == 2.5
+
+
+def test_taylor_degree_is_capped():
+    # tol = 1e-300 would need about 150 terms at x = 0.4
+    assert _taylor_degree(0.4, 1e-300) == _EXPM_MAX_TERMS == 64
+    assert abs(expm([[0.4]], tol=1e-300)[0, 0] - math.exp(0.4)) <= 1e-15
+
+
+def test_spectral_decomposition_dim():
+    for decompose in (herm_eig, normal_eig):
+        assert decompose(np.diag([1.0, 2.0, 2.0])).dim == 3

@@ -572,6 +572,13 @@ def test_cross_check_tail_precondition():
         cross_check(S, [2.0], 8)
 
 
+def test_cross_check_overflowing_weight_fails_precondition():
+    # e^{sqrt(d) ||ell||} = e^800 overflows, so the tail bound is inf
+    S = WcSymbol(1.0, [800.0], [[0.5]], [0.2])
+    with pytest.raises(PreconditionError, match=r"^truncation tail bound inf "):
+        cross_check(S, [0.1], 8)
+
+
 def test_exp_tail_overflow_is_inf():
     assert exp_tail(1e200, 12) == math.inf
 

@@ -1,13 +1,16 @@
 """A semigroup on a time grid: ``expm`` and ``expm_phi12`` of a stack (k, n, n),
 and ``symbols_at``, which evaluates several times through one stacked
-exponential."""
+exponential; ``semigroup-check`` reads both of its residual families from
+one such stack per sampled pair."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import fockwc as fw
+from fockwc.cli import run
 from fockwc.linalg import _scaling_power, _taylor_degree, expm, expm_phi12
 from fockwc.symbols import _magnitude
 from helpers import crandn, rand_j_semigroup_pair, rand_semigroup_params
@@ -183,3 +186,43 @@ def test_an_overflowing_t_omega_raises_without_a_warning():
         with pytest.raises(ValueError) as excinfo:
             call()
         assert str(excinfo.value) == "matrix contains non-finite entries"
+
+
+def _semigroup_check(tmp_path, capsys, d, samples, seed):
+    P, J = rand_j_semigroup_pair(np.random.default_rng(900 + d), d)
+    (tmp_path / "P.json").write_text(json.dumps(P.to_json()))
+    (tmp_path / "J.json").write_text(json.dumps(J.to_json()))
+    argv = ["semigroup-check", "--in", str(tmp_path / "P.json"), "--conj",
+            str(tmp_path / "J.json"), "--samples", str(samples), "--seed", str(seed)]
+    assert run(argv) == 0
+    return P, J, json.loads(capsys.readouterr().out)["residuals"]
+
+
+@pytest.mark.parametrize("samples", (1, 5, 20))
+def test_semigroup_check_takes_one_exponential_per_sampled_pair(tmp_path, capsys, monkeypatch,
+                                                               samples):
+    calls = {"expm": 0, "symbol_at": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fw.linalg, "expm", counted("expm", fw.linalg.expm))
+    monkeypatch.setattr(fw.semigroup, "symbol_at", counted("symbol_at", fw.semigroup.symbol_at))
+    _semigroup_check(tmp_path, capsys, 2, samples, 0)
+    assert calls == {"expm": samples, "symbol_at": 0}
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_semigroup_check_residuals_fold_the_pair_stacks(tmp_path, capsys, d):
+    # the seeded pairs (t, s): the law defect is check_laws' for each pair,
+    # the J-selfadjointness residual that of the stack's members at t and s
+    P, J, residuals = _semigroup_check(tmp_path, capsys, d, 6, 11)
+    pairs = np.random.default_rng(11).uniform(0.0, 1.0, size=(6, 2)).tolist()
+    laws = [fw.check_laws(P, t, s)[1] for t, s in pairs]
+    members = [S for t, s in pairs for S in fw.symbols_at(P, (t, s, t + s))[:2]]
+    selfadjoint = [max(fw.check_J_selfadjoint(S, J)[1].values()) for S in members]
+    assert residuals["law_defect_max"] == max(0.0, *laws)
+    assert residuals["j_selfadjoint_max"] == max(0.0, *selfadjoint)
