@@ -45,7 +45,6 @@ __all__ = [
     "ConjugationParams",
     "identity_conjugation",
     "validate",
-    "apply_to_kernel",
     "conjugate_by_J",
     "j_adjoint_symbol",
     "find_conjugation_real_symmetric",

@@ -16,25 +16,28 @@ remainder-controlled matrix exponential with the companion phi-functions
 
     phi1(X) = sum_{n>=0} X^n / (n+1)!,   phi2(X) = sum_{n>=0} X^n / (n+2)!,
 
-grouped eigendecompositions for Hermitian and normal matrices, the operator
-norm, and tolerance-aware structure predicates.  All functions are pure and
-never mutate their inputs.  Every structure residual of a matrix X comes
-from one table (X, X - X*, X - X^t, X^t - X, X X* - X* X, X X* - I, X* X - I): a
-check names its forms and its matrix, ``_residual_norms(Q, "Q", "X - X*")``,
-gets their norms from one SVD call on their stack, without a warning, and
-an overflowing residual raises ``ValueError`` naming it, as ``"Q - Q*"``.
+grouped eigendecompositions for Hermitian and normal matrices, and the
+operator norm.  All functions are pure and never mutate their inputs.
+Every structure residual of a matrix X comes from one table (X, X - X*,
+X - X^t, X^t - X, X X* - X* X, X X* - I, X* X - I): a check names its forms
+and its matrix, ``_residual_norms(Q, "Q", "X - X*")``, gets their norms
+from one SVD call on their stack, without a warning, and an overflowing
+residual raises ``ValueError`` naming it, as ``"Q - Q*"``.
 
 The exponential scales its input by a power of two, cuts the Taylor series
 at the degree m that the remainder bound picks from ``tol``, evaluates that
 polynomial by Paterson-Stockmeyer in about 2 sqrt(m) matrix products
-instead of m, and squares back.  ``expm`` and ``expm_phi12`` also take a
+instead of m, and squares back.  ``expm`` and ``phi12`` also take a
 stack (k, n, n), such as t Omega on a grid of times, and a single matrix is
 a stack of one.  Each member keeps the scaling power of its own 1-norm;
 all share one degree, the largest of the members' own, so every product is
 one matmul on the stack.  ``tol`` keeps its meaning for each member: a
 member whose own degree is lower only gains terms, which lowers its
 remainder, and a member of the shared degree gets its single-matrix bits
-(from n = 2 on, so for every augmented matrix of ``expm_phi12``).
+(from n = 2 on, so for every augmented matrix of ``phi12``).  A member
+whose 1-norm is at least 2**50 is refused, unless its exponential rounds to
+zero outside a nilpotent block: it would come back finite with no correct
+digit.
 
 NumPy is the only dependency.  Normal matrices are diagonalized through
 their commuting Hermitian parts H1 = (M + M*)/2 and H2 = (M - M*)/(2i):
@@ -58,26 +61,19 @@ import numpy as np
 
 from .errors import PreconditionError
 
-__all__ = [
-    "pairing",
-    "adj",
-    "op_norm",
-    "expm",
-    "phi1",
-    "phi2",
-    "phi12",
-    "SpectralDecomposition",
-    "herm_eig",
-    "normal_eig",
-    "is_unitary",
-    "is_symmetric",
-    "is_hermitian",
-    "is_normal",
-]
+__all__ = ["pairing"]
 
 # Terms of the scaled Taylor series are capped well past the point where
 # the remainder bound drops below double precision for norms <= 1/2.
 _EXPM_MAX_TERMS = 64
+# expm refuses a member whose 1-norm is at least 2**50, where ||M||_1 u >= 1/8
+# for the unit roundoff u = 2**-53: the relative condition number of e^M is
+# about ||M|| (Van Loan 1977), so the rounding of M's own entries already
+# leaves no correct digit there, unless e^M rounds to zero outside a
+# nilpotent block
+_EXPM_MAX_NORM = 2.0 ** 50
+# e^x rounds to zero for x below this: half the least subnormal is e^-745.13
+_EXP_UNDERFLOW = -746.0
 # Paterson-Stockmeyer tables (q, C) of expm, keyed by the Taylor degree
 _PS_TABLES: dict[int, tuple[int, np.ndarray]] = {}
 
@@ -329,6 +325,33 @@ def _as_stack(M) -> tuple[np.ndarray, bool]:
     return arr, True
 
 
+def _keeps_digits(M: np.ndarray) -> bool:
+    """Whether e^M keeps its digits whatever its norm: up to a permutation,
+    M is [[M_DD, M_DN], [0, M_NN]] with M_NN strictly upper triangular, so
+    that e^(M_NN) is a polynomial in M_NN, and with e^(M_DD) below the least
+    subnormal.  The rows D bound it by the logarithmic norm,
+    ||e^(M_DD)||_inf <= e^mu, mu = max_i (Re m_ii + sum_{j != i} |m_ij|),
+    with 2**-40 ||M||_inf to spare for rounding.  The augmented matrix of
+    ``phi12`` for a t Omega whose exponential rounds to zero is one."""
+    size = np.abs(M)
+    rows = size.sum(axis=1)
+    mu = M.diagonal().real + rows - size.diagonal()
+    decayed = mu + 2.0 ** -40 * float(rows.max()) <= _EXP_UNDERFLOW
+    rest = M[~decayed]
+    return not (rest[:, decayed].any() or np.tril(rest[:, ~decayed]).any())
+
+
+class _DigitsLost(ValueError):
+    """``expm``'s refusal of the stack member at index ``member``, whose
+    1-norm leaves its exponential no correct digit."""
+
+    def __init__(self, nrm: float, member: int):
+        super().__init__(
+            f"matrix 1-norm {nrm:.3e} is at least 2**50: its exponential has no correct digits"
+        )
+        self.member = member
+
+
 def expm(M, tol: float = 1e-14) -> np.ndarray:
     """Matrix exponential by scaling and squaring of a truncated series, of
     a square matrix or of each member of a stack (k, n, n).
@@ -355,7 +378,11 @@ def expm(M, tol: float = 1e-14) -> np.ndarray:
     matrix-vector product for its blocks).  Every product is one matmul on
     the stack; squaring runs on the members, in descending order of scaling
     power, that still need it.  A matrix is a stack of one.  Overflow of the
-    1-norm of a member or of a result raises ``ValueError``.
+    1-norm of a member or of a result raises ``ValueError``, and so does a
+    member of 1-norm at least 2**50, naming it: the rounding of that
+    member's entries alone leaves its exponential no correct digit, unless
+    its non-negligible part is a polynomial in a nilpotent block
+    (``_keeps_digits``), as for a t Omega whose exponential rounds to zero.
     """
     stack, stacked = _as_stack(M)
     if not tol > 0:
@@ -366,9 +393,11 @@ def expm(M, tol: float = 1e-14) -> np.ndarray:
         # each member's s from its 1-norm, the reduction np.linalg.norm(M, 1)
         # computes, without its dispatch; x is the largest scaled norm
         s, x = [], 0.0
-        for nrm in np.abs(stack).sum(axis=1).max(axis=1).tolist():
+        for i, nrm in enumerate(np.abs(stack).sum(axis=1).max(axis=1).tolist()):
             if not math.isfinite(nrm):
                 raise ValueError("matrix 1-norm is not finite")
+            if nrm >= _EXPM_MAX_NORM and not _keeps_digits(stack[i]):
+                raise _DigitsLost(nrm, i)
             s.append(_scaling_power(nrm))
             # 2**-s stays representable where 2**s overflows (s > 1023)
             x = max(x, nrm * 2.0 ** -s[-1])
@@ -404,15 +433,20 @@ def expm(M, tol: float = 1e-14) -> np.ndarray:
     return out if stacked else out[0]
 
 
-def expm_phi12(M, tol: float = 1e-14) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """expm(M), phi1(M) and phi2(M) from one augmented exponential, of a
-    square matrix or of each member of a stack (k, n, n).
+def phi12(M, tol: float = 1e-14) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(expm(M), phi1(M), phi2(M)) from one augmented exponential, of a
+    square matrix or of each member of a stack (k, n, n), where
 
-    exp of the block matrix [[M, I, 0], [0, 0, I], [0, 0, 0]] carries
-    expm(M), phi1(M) and phi2(M) in its first block row, which avoids any
-    inverse of ``M`` and therefore works for singular input.  A stack's
-    augmented matrices go through ``expm`` as one stack, with its shared
-    degree and each member's own scaling power.
+        phi1(M) = sum_n M^n/(n+1)!,   phi2(M) = sum_n M^n/(n+2)!,
+
+    so that M phi1(M) = expm(M) - I and phi1(M) = I + M phi2(M).
+
+    exp of the block matrix [[M, I, 0], [0, 0, I], [0, 0, 0]] carries the
+    three in its first block row, which avoids any inverse of ``M`` and
+    therefore works for singular input.  A stack's augmented matrices go
+    through ``expm`` as one stack, with its shared degree and each member's
+    own scaling power.  The three are read-only views of that one
+    exponential: ``owned`` copies what a value keeps.
     """
     stack, stacked = _as_stack(M)
     k, d = stack.shape[:2]
@@ -424,22 +458,8 @@ def expm_phi12(M, tol: float = 1e-14) -> tuple[np.ndarray, np.ndarray, np.ndarra
     W.reshape(k, -1)[:, d : 2 * d * n : n + 1] = 1.0
     E = expm(W, tol)
     E = E if stacked else E[0]
-    return E[..., :d, :d].copy(), E[..., :d, d:2 * d].copy(), E[..., :d, 2 * d:].copy()
-
-
-def phi12(M, tol: float = 1e-14) -> tuple[np.ndarray, np.ndarray]:
-    """Both phi-functions at once, from one augmented exponential."""
-    return expm_phi12(M, tol)[1:]
-
-
-def phi1(M, tol: float = 1e-14) -> np.ndarray:
-    """phi1(M) = sum_n M^n/(n+1)!; satisfies M phi1(M) = expm(M) - I."""
-    return phi12(M, tol)[0]
-
-
-def phi2(M, tol: float = 1e-14) -> np.ndarray:
-    """phi2(M) = sum_n M^n/(n+2)!; satisfies phi1(M) = I + M phi2(M)."""
-    return phi12(M, tol)[1]
+    E.setflags(write=False)
+    return E[..., :d, :d], E[..., :d, d:2 * d], E[..., :d, 2 * d:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,10 +476,6 @@ class SpectralDecomposition:
     groups: tuple[tuple[int, ...], ...]
 
     __eq__ = fields_equal
-
-    @property
-    def dim(self) -> int:
-        return self.unitary.shape[0]
 
     def group_eigenvalue(self, j: int) -> complex:
         """Representative (mean) eigenvalue of group ``j``."""
@@ -610,33 +626,6 @@ def normal_eig(M) -> SpectralDecomposition:
         )
     perm, groups = _eigenvalue_groups(eigs, gtol)
     return SpectralDecomposition(V[:, perm], eigs[perm], groups)
-
-
-def is_unitary(M, tol: float = 1e-10) -> tuple[bool, float]:
-    """Unitarity predicate; returns (verdict, defect ||MM* - I||)."""
-    defect = max(_residual_norms(as_matrix(M), "M", "X X* - I", "X* X - I"))
-    return defect <= tol, defect
-
-
-def is_symmetric(M, tol: float = 1e-10) -> tuple[bool, float]:
-    """Complex-symmetry predicate; defect is ||M - M^t|| / (1 + ||M||)."""
-    asym_nrm, nrm = _residual_norms(as_matrix(M), "M", "X - X^t", "X")
-    defect = asym_nrm / (1.0 + nrm)
-    return defect <= tol, defect
-
-
-def is_hermitian(M, tol: float = 1e-10) -> tuple[bool, float]:
-    """Hermitian predicate; defect is ||M - M*|| / (1 + ||M||)."""
-    skew_nrm, nrm = _residual_norms(as_matrix(M), "M", "X - X*", "X")
-    defect = skew_nrm / (1.0 + nrm)
-    return defect <= tol, defect
-
-
-def is_normal(M, tol: float = 1e-10) -> tuple[bool, float]:
-    """Normality predicate; defect is ||MM* - M*M|| / (1 + ||M||^2)."""
-    comm_nrm, nrm = _residual_norms(as_matrix(M), "M", "X X* - X* X", "X")
-    defect = comm_nrm / (1.0 + nrm ** 2)
-    return defect <= tol, defect
 
 
 # default tolerance of every verdict: the classifiers, conjugation validity

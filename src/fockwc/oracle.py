@@ -51,19 +51,14 @@ from .symbols import ScaledKernel, WcSymbol, act_on_kernel, act_on_kernels, adjo
 __all__ = [
     "KernelCombo",
     "inner",
-    "combo_norm",
     "apply_symbol",
     "apply_conjugation",
     "pairing_defect",
     "adjoint_defect",
     "j_symmetry_defect",
-    "TruncOp",
-    "AntilinearTruncOp",
     "trunc_symbol_matrix",
     "trunc_conjugation_matrix",
     "kernel_coeff_vector",
-    "poly_coeff_vector",
-    "exp_tail",
     "cross_check",
 ]
 
@@ -182,11 +177,6 @@ def inner(F: KernelCombo, G: KernelCombo) -> complex:
     if not cmath.isfinite(value):
         raise ValueError(f"inner product is not finite: max Re<z_j, w_i> = {E.real.max():.6g}")
     return value
-
-
-def combo_norm(F: KernelCombo) -> float:
-    """Fock norm of a kernel combination."""
-    return math.sqrt(max(inner(F, F).real, 0.0))
 
 
 def apply_symbol(S: WcSymbol, F: KernelCombo) -> KernelCombo:

@@ -19,11 +19,7 @@ import numpy as np
 from . import jsonio
 from .linalg import as_scalar, as_vector, owned
 
-__all__ = [
-    "multi_indices",
-    "mi_factorial",
-    "MPoly",
-]
+__all__ = ["MPoly"]
 
 
 def monomials_of_degree(d: int, k: int):

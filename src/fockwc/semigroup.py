@@ -31,10 +31,10 @@ import numpy as np
 from .jsonio import COMPLEX, MATRIX, VECTOR, Record
 from .conjugation import ConjugationParams, require_valid
 from .linalg import (
-    DEFAULT_TOL, _residual_norms, adj, as_vector, expm_phi12, pairing, residuals_within,
+    DEFAULT_TOL, _DigitsLost, _residual_norms, adj, as_vector, pairing, phi12, residuals_within,
 )
 # unused here, but kept as module attributes that benchmarks/tracing.py wraps
-from .linalg import expm, op_norm, phi12  # noqa: F401
+from .linalg import expm, op_norm  # noqa: F401
 from .oracle import poly_coeff_vector, trunc_symbol_matrix, _tables
 from .polynomials import MPoly
 from .symbols import (
@@ -85,11 +85,12 @@ def symbols_at(P: SemigroupParams, times, tol: float = 1e-13) -> list[WcSymbol]:
 
     Each time is checked as ``symbol_at`` checks it, with its messages, and
     t = 0 gives the identity symbol exactly.  The positive times share one
-    stacked ``expm_phi12``: each e^{t Omega} keeps its own scaling power,
-    all share the largest Taylor degree, so each stays within ``tol``.  A
+    stacked ``phi12``: each e^{t Omega} keeps its own scaling power, all
+    share the largest Taylor degree, so each stays within ``tol``.  A
     single time gives ``symbol_at``'s bits, as does any time whose own
-    degree is the shared one.  A theta_t that overflows or underflows is
-    named with its own time.
+    degree is the shared one.  A theta_t that overflows or underflows, and a
+    t Omega whose exponential ``expm`` refuses for its lost digits, are
+    named with their own time.
     """
     times = [float(t) for t in times]
     positive = []
@@ -102,14 +103,17 @@ def symbols_at(P: SemigroupParams, times, tol: float = 1e-13) -> list[WcSymbol]:
             positive.append(t)
     computed = []
     if positive:
-        # never a warning: an overflowing t Omega is rejected by expm_phi12,
-        # an overflowing component by name in pairing or WcSymbol
+        # never a warning: an overflowing t Omega is rejected by phi12, an
+        # overflowing component by name in pairing or WcSymbol
         with np.errstate(over="ignore", invalid="ignore"):
             # one product per time: for one time, cheaper than a broadcast
             tOmega = np.empty((len(positive), *P.Omega.shape), dtype=np.complex128)
             for t, M in zip(positive, tOmega):
                 np.multiply(t, P.Omega, M)
-            Q, p1, p2 = expm_phi12(tOmega, tol)
+            try:
+                Q, p1, p2 = phi12(tOmega, tol)
+            except _DigitsLost as exc:
+                raise ValueError(f"Q_t at t = {positive[exc.member]!r}: {exc}") from None
             p1_q, p1_ell, p2_q = p1 @ P.q_star, adj(p1) @ P.ell_star, p2 @ P.q_star
             for t, Q_t, a, b, c in zip(positive, Q, p1_q, p1_ell, p2_q):
                 q_t, ell_t, q_integral = t * a, t * b, t * t * c

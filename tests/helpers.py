@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from fockwc import ConjugationParams, SemigroupParams, WcSymbol, adj, op_norm
+from fockwc import ConjugationParams, SemigroupParams, WcSymbol
+from fockwc.linalg import adj, op_norm
 from fockwc.polynomials import MPoly, mi_factorial, multi_indices
 
 
@@ -478,14 +479,16 @@ def ref_op_norm(R):
 
 
 def ref_predicate_defects(M):
-    """Defects of is_unitary, is_symmetric, is_hermitian and is_normal."""
+    """Norms of the unitarity, symmetry, Hermitian and normality residuals
+    of M, keyed by their ``_residual_norms`` form."""
     eye = np.eye(M.shape[0])
-    nrm = ref_op_norm(M)
     return {
-        "is_unitary": max(ref_op_norm(M @ adj(M) - eye), ref_op_norm(adj(M) @ M - eye)),
-        "is_symmetric": ref_op_norm(M - M.T) / (1.0 + nrm),
-        "is_hermitian": ref_op_norm(M - adj(M)) / (1.0 + nrm),
-        "is_normal": ref_op_norm(M @ adj(M) - adj(M) @ M) / (1.0 + nrm ** 2),
+        "X X* - I": ref_op_norm(M @ adj(M) - eye),
+        "X* X - I": ref_op_norm(adj(M) @ M - eye),
+        "X - X^t": ref_op_norm(M - M.T),
+        "X - X*": ref_op_norm(M - adj(M)),
+        "X X* - X* X": ref_op_norm(M @ adj(M) - adj(M) @ M),
+        "X": ref_op_norm(M),
     }
 
 

@@ -13,12 +13,12 @@ from fockwc import (
     find_conjugation_normal,
     find_conjugation_real_symmetric,
     identity_conjugation,
-    identity_symbol,
     j_adjoint_symbol,
     j_symmetry_defect,
     negate_theta,
     symbols_equal,
 )
+from fockwc.symbols import identity_symbol
 from helpers import (
     rand_j_selfadjoint_pair,
     rand_normal_bounded_symbol,

@@ -8,25 +8,24 @@ from fockwc import (
     NotApplicableError,
     PreconditionError,
     WcSymbol,
-    adj,
     apply_conjugation,
-    apply_to_kernel,
     check_J_selfadjoint,
     compose,
     conjugate_by_J,
     evaluate,
     identity_conjugation,
-    identity_symbol,
     inner,
     j_adjoint_symbol,
     find_conjugation_normal,
     find_conjugation_real_symmetric,
-    op_norm,
     pairing,
     symbol_distance,
     symbols_equal,
     validate,
 )
+from fockwc.conjugation import apply_to_kernel
+from fockwc.linalg import adj, op_norm
+from fockwc.symbols import identity_symbol
 from helpers import (
     crandn,
     rand_kernel_combo,

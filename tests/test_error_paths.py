@@ -13,7 +13,7 @@ from fockwc import jsonio
 from fockwc.cli import run
 from fockwc.polynomials import MPoly
 
-S1, S2 = fw.identity_symbol(1), fw.identity_symbol(2)
+S1, S2 = fw.symbols.identity_symbol(1), fw.symbols.identity_symbol(2)
 J1, J2 = fw.identity_conjugation(1), fw.identity_conjugation(2)
 P1 = fw.SemigroupParams([[0.5]], [1.0], [0.0], 0.0)
 F1 = fw.KernelCombo(1, [1.0], [[0.2]])
@@ -53,17 +53,26 @@ ERRORS = {
                                  "step h must be positive"),
     "generator_fd_residual_small_N": (lambda: fw.generator_fd_residual(P1, f1, 0.1, N=2),
                                       "need N >= deg(f) + 2"),
-    "exp_tail_negative_rho": (lambda: fw.exp_tail(-1.0, 4), "rho must be non-negative"),
-    "identity_symbol_0": (lambda: fw.identity_symbol(0), "dimension must be positive"),
+    "exp_tail_negative_rho": (lambda: fw.oracle.exp_tail(-1.0, 4), "rho must be non-negative"),
+    "identity_symbol_0": (lambda: fw.symbols.identity_symbol(0), "dimension must be positive"),
     "KernelCombo_0": (lambda: fw.KernelCombo(0, [], np.zeros((0, 0))),
                       "dimension must be positive"),
     "MPoly.partial_out_of_range": (lambda: f1.partial(3), "coordinate index out of range"),
-    "multi_indices_0": (lambda: fw.multi_indices(0, 1), "need d >= 1 and max_degree >= 0"),
+    "multi_indices_0": (lambda: fw.polynomials.multi_indices(0, 1),
+                        "need d >= 1 and max_degree >= 0"),
     "trunc_symbol_matrix_negative_N": (lambda: fw.trunc_symbol_matrix(S1, -1),
                                        "truncation degree must be non-negative"),
     "pairing_unequal_lengths": (lambda: fw.pairing([1.0], [1.0, 2.0]),
                                 "pairing requires vectors of equal length"),
-    "expm_not_square": (lambda: fw.expm([[1, 2]]), "matrix must be a non-empty square matrix"),
+    "expm_not_square": (lambda: fw.linalg.expm([[1, 2]]),
+                        "matrix must be a non-empty square matrix"),
+    "symbol_at_lost_digits": (
+        lambda: fw.symbol_at(fw.SemigroupParams([[0.768 + 1e16j, 0], [0, -0.5]], [0, 0], [0, 0],
+                                                0), 0.27),
+        "Q_t at t = 0.27: matrix 1-norm 2.700e+15 is at least 2**50: "
+        "its exponential has no correct digits"),
+    "unitary_similarity_overflow": (lambda: fw.symbols.unitary_similarity(S1, [[1e200]], [[1]]),
+                                    "U U* - I contains non-finite entries"),
     "matrix_from_json_ragged": (lambda: jsonio.matrix_from_json([[[1, 0], [2, 0]], [[3, 0]]]),
                                 "matrix must be square, row-major"),
     "WcSymbol_string_theta": (lambda: fw.WcSymbol("x", [1], [[1]], [0]),

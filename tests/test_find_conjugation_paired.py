@@ -11,13 +11,13 @@ import pytest
 
 from fockwc import (
     WcSymbol,
-    adj,
     check_J_selfadjoint,
     check_normal_bounded,
     find_conjugation_normal,
     j_symmetry_defect,
     validate,
 )
+from fockwc.linalg import adj
 from helpers import crandn, rand_points, rand_unitary
 
 

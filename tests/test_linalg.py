@@ -1,32 +1,25 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from fockwc import (
-    PreconditionError,
-    adj,
-    expm,
-    herm_eig,
-    is_hermitian,
-    is_normal,
-    is_symmetric,
-    is_unitary,
-    normal_eig,
-    op_norm,
-    phi1,
-    phi12,
-    phi2,
-)
+from fockwc import PreconditionError
 from fockwc.linalg import (
     _EXPM_MAX_TERMS,
     _default_group_tol,
     _eigenvalue_groups,
     _op_norms,
+    _residual_norms,
     _scaling_power,
     _taylor_degree,
+    adj,
     as_matrix,
-    expm_phi12,
+    expm,
+    herm_eig,
+    normal_eig,
+    op_norm,
+    phi12,
 )
 from helpers import (
     SPECTRUM_KINDS,
@@ -67,6 +60,59 @@ def test_expm_overflow_raises_without_warning():
         expm([[1e308, 1e308], [1e308, 1e308]])  # finite entries, 1-norm overflows
 
 
+# expm against the exact exponential U diag(e^lambda) U* of M = U diag(lambda) U*
+# for random unitaries U: rows (Re lambda, the largest |Im lambda|, whether
+# expm answers).  The rounding of M's entries alone costs about ||M|| u
+# relative error, the condition number of e^M for normal M (Van Loan 1977),
+# so an answer is within 2**12 ||M||_1 u of the exact one, beside the
+# truncation at tol; from ||M||_1 = 2**50 on, where that scale passes 1/8,
+# expm refuses
+EXACT_EXPONENTIALS = [
+    (0.0, 0.0, True),
+    (1.0, 1.0, True),
+    (-3.0, 1e2, True),
+    (0.5, 1e4, True),
+    (0.0, 1e8, True),
+    (0.2, 1e12, True),
+    (-0.5, 1e14, True),
+    (0.768, 2e15, False),
+    (0.0, 1e20, False),
+]
+
+
+@pytest.mark.parametrize("re, im, answers", EXACT_EXPONENTIALS)
+def test_expm_accuracy_against_exact_exponentials(re, im, answers):
+    u, tol = 2.0 ** -53, 1e-13
+    for d in (2, 3, 5):
+        rng = np.random.default_rng(d)
+        for _ in range(10):
+            U = rand_unitary(rng, d)
+            lam = re + 1j * im * np.linspace(-1.0, 1.0, d)
+            M = U @ np.diag(lam) @ adj(U)
+            if not answers:
+                with pytest.raises(ValueError, match=r"^matrix 1-norm .* is at least 2\*\*50: "):
+                    expm(M, tol)
+                continue
+            exact = U @ np.diag([cmath.exp(x) for x in lam]) @ adj(U)
+            err = np.abs(expm(M, tol) - exact).max() / np.abs(exact).max()
+            assert err <= tol + 2.0 ** 12 * max(1.0, np.abs(M).sum(axis=0).max()) * u
+
+
+def test_expm_answers_a_decayed_member_past_the_cut():
+    # e^M rounds to zero, and phi1 = -M^-1, phi2 = -M^-2 - M^-1 keep their
+    # digits: the augmented matrix is block triangular with a nilpotent block
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 4):
+        for scale in (1e16, 1e100, 1e300):
+            M = scale * (0.1 * crandn(rng, d, d) - 2.0 * (1.0 + 0.1 * d) * np.eye(d))
+            E, p1, p2 = phi12(M, 1e-13)
+            Mi = np.linalg.inv(M)
+            assert not E.any()
+            assert np.abs(p1 + Mi).max() <= 1e-14 * np.abs(Mi).max()
+            assert np.abs(p2 + Mi @ Mi + Mi).max() <= 1e-14 * np.abs(Mi).max()
+    assert not expm([[-1e307]]).any()
+
+
 def test_expm_inverse_identity():
     rng = np.random.default_rng(0)
     tol = 1e-12
@@ -92,14 +138,14 @@ def test_expm_semigroup_property():
 
 
 def test_phi_trivial_values():
-    assert np.allclose(phi1(np.zeros((3, 3))), np.eye(3), atol=1e-15)
-    assert np.allclose(phi2(np.zeros((3, 3))), 0.5 * np.eye(3), atol=1e-15)
-    assert abs(phi1([[1.0]])[0, 0] - (math.e - 1.0)) < 1e-14
+    assert np.allclose(phi12(np.zeros((3, 3)))[1], np.eye(3), atol=1e-15)
+    assert np.allclose(phi12(np.zeros((3, 3)))[2], 0.5 * np.eye(3), atol=1e-15)
+    assert abs(phi12([[1.0]])[1][0, 0] - (math.e - 1.0)) < 1e-14
 
 
 def test_phi1_nilpotent():
     M = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert np.allclose(phi1(M), np.eye(2) + M / 2, atol=1e-15)
+    assert np.allclose(phi12(M)[1], np.eye(2) + M / 2, atol=1e-15)
 
 
 def test_phi_identities():
@@ -107,7 +153,7 @@ def test_phi_identities():
     for _ in range(15):
         d = int(rng.integers(1, 5))
         M = crandn(rng, d, d)
-        p1, p2 = phi12(M)
+        _, p1, p2 = phi12(M)
         assert op_norm(M @ p1 + np.eye(d) - expm(M)) < 1e-12 * (1 + op_norm(M))
         assert op_norm(p1 - (np.eye(d) + M @ p2)) < 1e-12
 
@@ -130,8 +176,7 @@ def test_herm_eig_reconstruction():
         dec = herm_eig(M)
         R = dec.unitary @ np.diag(dec.eigenvalues) @ adj(dec.unitary)
         assert op_norm(R - M) < 1e-10 * (1 + op_norm(M))
-        ok, _ = is_unitary(dec.unitary, 1e-10)
-        assert ok
+        assert max(_residual_norms(dec.unitary, "V", "X X* - I", "X* X - I")) <= 1e-10
         # eigenvalues sorted ascending
         assert np.all(np.diff(dec.eigenvalues.real) >= -1e-12)
 
@@ -277,13 +322,12 @@ _BIG = [[1e308, 1e308], [-1e308, 1e308]]
     "call, name",
     [
         (lambda: normal_eig([[1e307]]), r"M M\* - M\* M"),
-        (lambda: is_normal([[1e307]]), r"M M\* - M\* M"),
-        (lambda: is_unitary([[1e200]]), r"M M\* - I"),
+        (lambda: _residual_norms(as_matrix([[1e307]]), "M", "X X* - X* X"), r"M M\* - M\* M"),
         (lambda: herm_eig(_BIG), r"M - M\*"),
-        (lambda: is_hermitian(_BIG), r"M - M\*"),
-        (lambda: is_symmetric(_BIG), r"M - M\^t"),
+        (lambda: _residual_norms(as_matrix(_BIG), "M", "X - X*"), r"M - M\*"),
+        (lambda: _residual_norms(as_matrix(_BIG), "M", "X - X^t"), r"M - M\^t"),
     ],
-    ids=["normal_eig", "is_normal", "is_unitary", "herm_eig", "is_hermitian", "is_symmetric"],
+    ids=["normal_eig", "is_normal", "herm_eig", "is_hermitian", "is_symmetric"],
 )
 def test_overflowing_residual_raises_naming_it(call, name):
     with pytest.raises(ValueError, match=name + " contains non-finite entries"):
@@ -299,17 +343,17 @@ def test_op_norm_unitary_invariance():
         assert abs(op_norm(U @ M @ V) - op_norm(M)) < 1e-9 * (1 + op_norm(M))
 
 
+# the residuals of unitarity, symmetry, Hermitian symmetry and normality
+_STRUCTURE_FORMS = ("X X* - I", "X* X - I", "X - X^t", "X - X*", "X X* - X* X")
+
+
 def test_predicates():
-    eye = np.eye(2)
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    shear = np.array([[1.0, 1.0], [0.0, 1.0]])
+    eye = np.eye(2, dtype=complex)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    shear = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
     for M in (eye, swap):
-        for pred in (is_unitary, is_symmetric, is_hermitian, is_normal):
-            ok, defect = pred(M)
-            assert ok and defect < 1e-14
-    for pred in (is_unitary, is_symmetric, is_hermitian, is_normal):
-        ok, defect = pred(shear)
-        assert not ok and defect > 1e-2
+        assert max(_residual_norms(M, "M", *_STRUCTURE_FORMS)) < 1e-14
+    assert min(_residual_norms(shear, "M", *_STRUCTURE_FORMS)) > 1e-2
 
 
 def _assert_unitary_diagonalization(M, dec):
@@ -406,7 +450,7 @@ def test_expm_phi12_augmented_matrix_is_the_block_matrix():
         eye, zero = np.eye(d), np.zeros((d, d))
         E = expm(np.block([[M, eye, zero], [zero, zero, eye], [zero, zero, zero]]), 1e-13)
         blocks = (E[:d, :d], E[:d, d:2 * d], E[:d, 2 * d:])
-        for got, want in zip(expm_phi12(M, 1e-13), blocks):
+        for got, want in zip(phi12(M, 1e-13), blocks):
             assert np.array_equal(got, want)
 
 
@@ -423,4 +467,5 @@ def test_taylor_degree_is_capped():
 
 def test_spectral_decomposition_dim():
     for decompose in (herm_eig, normal_eig):
-        assert decompose(np.diag([1.0, 2.0, 2.0])).dim == 3
+        dec = decompose(np.diag([1.0, 2.0, 2.0]))
+        assert dec.unitary.shape == (3, 3) and dec.eigenvalues.shape == (3,)

@@ -15,14 +15,12 @@ from fockwc import (
     ConjugationParams,
     KernelCombo,
     MPoly,
-    ScaledKernel,
     SemigroupParams,
     WcSymbol,
     act_on_kernel,
     adjoint_symbol,
     apply_conjugation,
     apply_symbol,
-    apply_to_kernel,
     check_bounded_necessary,
     check_normal_bounded,
     compose,
@@ -31,11 +29,11 @@ from fockwc import (
     find_conjugation_normal,
     find_conjugation_real_symmetric,
     generator_apply,
-    identity_symbol,
     negate_theta,
     symbol_at,
-    unitary_similarity,
 )
+from fockwc.conjugation import apply_to_kernel
+from fockwc.symbols import ScaledKernel, identity_symbol, unitary_similarity
 from fockwc import classify, conjugation
 from fockwc.linalg import _residual_norms, op_norm, owned
 from helpers import (

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fockwc import MPoly, mi_factorial, multi_indices
+from fockwc import MPoly
+from fockwc.polynomials import mi_factorial, multi_indices
 
 
 def test_multi_indices_graded_lex():

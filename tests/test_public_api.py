@@ -1,5 +1,7 @@
 """Each public name is declared once, in its module's ``__all__``, and
-``fockwc.__all__`` is the sorted union of the re-exported modules' lists."""
+``fockwc.__all__`` is the sorted union of the re-exported modules' lists.
+README's table of paper objects names exactly the public functions, each
+with a test that exists."""
 
 import ast
 import importlib
@@ -10,6 +12,8 @@ from pathlib import Path
 import fockwc
 
 INIT = ast.parse(Path(fockwc.__file__).read_text(encoding="utf-8"))
+ROOT = Path(__file__).resolve().parent.parent
+TABLE_HEADER = "| Paper object | Function | Test |"
 
 
 def _imports():
@@ -72,3 +76,28 @@ def test_module_lists_name_only_their_own_definitions():
         module = importlib.import_module(f"fockwc.{info.name}")
         if hasattr(module, "__all__"):
             assert set(module.__all__) <= _top_level_names(module), module.__name__
+
+
+def _paper_table() -> list[tuple[str, str]]:
+    """(function, test) of each row of README's paper-object table."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    rows = []
+    for line in lines[lines.index(TABLE_HEADER) + 2:]:
+        if not line.startswith("|"):
+            break
+        _, function, test = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        rows.append((function, test))
+    return rows
+
+
+def test_paper_table_names_exactly_the_public_functions():
+    functions = [function for function, _ in _paper_table()]
+    assert len(functions) == len(set(functions))
+    assert sorted(functions) == fockwc.__all__
+
+
+def test_each_paper_table_row_names_a_test_that_exists():
+    for _, test in _paper_table():
+        path, _, name = test.partition("::")
+        tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+        assert name in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}, test

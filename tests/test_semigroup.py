@@ -11,16 +11,14 @@ from fockwc import (
     continuity_defect,
     generator_apply,
     generator_fd_residual,
-    identity_symbol,
     j_symmetry_defect,
-    poly_coeff_vector,
     symbol_at,
     symbol_distance,
     trunc_conjugation_matrix,
     validate_J_conditions,
 )
-from fockwc.oracle import _tables
-from fockwc.symbols import act_on_kernel
+from fockwc.oracle import _tables, poly_coeff_vector
+from fockwc.symbols import act_on_kernel, identity_symbol
 from helpers import (
     crandn,
     rand_j_semigroup_pair,

@@ -10,12 +10,11 @@ from fockwc import (
     adjoint_symbol,
     compose,
     evaluate,
-    identity_symbol,
     pairing,
     symbol_distance,
     symbols_equal,
-    unitary_similarity,
 )
+from fockwc.symbols import identity_symbol, unitary_similarity
 from helpers import crandn, rand_symbol, rand_unitary
 
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)

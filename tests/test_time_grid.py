@@ -1,4 +1,4 @@
-"""A semigroup on a time grid: ``expm`` and ``expm_phi12`` of a stack (k, n, n),
+"""A semigroup on a time grid: ``expm`` and ``phi12`` of a stack (k, n, n),
 and ``symbols_at``, which evaluates several times through one stacked
 exponential; ``semigroup-check`` reads both of its residual families from
 one such stack per sampled pair."""
@@ -11,7 +11,7 @@ import pytest
 
 import fockwc as fw
 from fockwc.cli import run
-from fockwc.linalg import _scaling_power, _taylor_degree, expm, expm_phi12
+from fockwc.linalg import _scaling_power, _taylor_degree, expm, phi12
 from fockwc.symbols import _magnitude
 from helpers import crandn, rand_j_semigroup_pair, rand_semigroup_params
 
@@ -42,7 +42,7 @@ def test_stack_of_one_is_the_single_matrix_bit_for_bit(d):
         for tol in (1e-14, 1e-13, 1e-8):
             M = _stack(rng, d, [nrm])
             assert _hex(expm(M, tol)[0]) == _hex(expm(M[0], tol))
-            assert _hex(*(b[0] for b in expm_phi12(M, tol))) == _hex(*expm_phi12(M[0], tol))
+            assert _hex(*(b[0] for b in phi12(M, tol))) == _hex(*phi12(M[0], tol))
 
 
 @pytest.mark.parametrize("d", (2, 3, 5, 8))
@@ -76,12 +76,12 @@ def test_member_bits_do_not_depend_on_their_position():
     perm = [3, 0, 4, 1, 2]
     for got, want in zip(expm(stack[perm]), expm(stack)[perm]):
         assert _hex(got) == _hex(want)
-    for got, want in zip(expm_phi12(stack[perm]), expm_phi12(stack)):
+    for got, want in zip(phi12(stack[perm]), phi12(stack)):
         assert _hex(got) == _hex(want[perm])
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("call", (expm, expm_phi12), ids=("expm", "expm_phi12"))
+@pytest.mark.parametrize("call", (expm, phi12), ids=("expm", "expm_phi12"))
 @pytest.mark.parametrize("member, message", [
     ([[np.inf, 0.0], [0.0, 0.0]], "matrix contains non-finite entries"),
     ([[1e308, 1e308], [1e308, 1e308]], "matrix 1-norm is not finite"),
@@ -135,7 +135,7 @@ def test_grid_does_not_depend_on_the_order_of_the_times():
 def test_time_zero_gives_the_identity_inside_a_grid():
     rng = np.random.default_rng(700)
     P = rand_semigroup_params(rng, 2)
-    ident = _symbol_hex(fw.identity_symbol(2))
+    ident = _symbol_hex(fw.symbols.identity_symbol(2))
     grid = fw.symbols_at(P, [0.0, 0.5, -0.0, 0, 1.2])
     assert [_symbol_hex(S) == ident for S in grid] == [True, False, True, True, False]
     assert [_symbol_hex(S) for S in fw.symbols_at(P, [0.0, 0.0])] == [ident, ident]
@@ -179,13 +179,28 @@ def test_check_laws_on_the_flow_generators(d):
 
 @pytest.mark.filterwarnings("error")
 def test_an_overflowing_t_omega_raises_without_a_warning():
-    # t Omega overflows at t = 1e300: the product is rejected as expm_phi12's
+    # t Omega overflows at t = 1e300: the product is rejected as phi12's
     # non-finite input, not warned about
     P = fw.SemigroupParams([[1e10]], [1.0], [0.0], 0.0)
     for call in (lambda: fw.symbol_at(P, 1e300), lambda: fw.symbols_at(P, [0.5, 1e300])):
         with pytest.raises(ValueError) as excinfo:
             call()
         assert str(excinfo.value) == "matrix contains non-finite entries"
+
+
+@pytest.mark.filterwarnings("error")
+def test_lost_digits_are_refused_stacked_and_alone_naming_the_time():
+    # the semigroup-check fuzz base with Omega_00 = 0.768 + 1e308 i: its
+    # members used to come back finite, with |Q_t[0, 0]| = 0
+    P, _ = rand_j_semigroup_pair(np.random.default_rng(2024), 2)
+    Omega = P.Omega.copy()
+    Omega[0, 0] = Omega[0, 0].real + 1e308j
+    P = fw.SemigroupParams(Omega, P.q_star, P.ell_star, P.theta_star)
+    for times, t in (((0.637, 0.270, 0.907), 0.637), ((0.270,), 0.27), ((0.0, 0.5), 0.5)):
+        with pytest.raises(ValueError, match=rf"^Q_t at t = {t}: matrix 1-norm .* 2\*\*50: "):
+            fw.symbols_at(P, times)
+        with pytest.raises(ValueError, match=rf"^Q_t at t = {t}: "):
+            fw.symbol_at(P, t)
 
 
 def _semigroup_check(tmp_path, capsys, d, samples, seed):

@@ -11,11 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from fockwc import (
-    ConjugationParams, SemigroupParams, WcSymbol, exp_tail, herm_eig, identity_conjugation,
-    identity_symbol, normal_eig,
-)
-from fockwc.linalg import _default_group_tol, fields_equal
+from fockwc import ConjugationParams, SemigroupParams, WcSymbol, identity_conjugation
+from fockwc.oracle import exp_tail
+from fockwc.symbols import identity_symbol
+from fockwc.linalg import _default_group_tol, fields_equal, herm_eig, normal_eig
 
 PACKS = (WcSymbol, ConjugationParams, SemigroupParams)
 NAN, INF = float("nan"), float("inf")

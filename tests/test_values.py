@@ -12,7 +12,6 @@ from fockwc import (
     ConjugationParams,
     KernelCombo,
     PreconditionError,
-    ScaledKernel,
     SemigroupParams,
     WcSymbol,
     check_normal_bounded,
@@ -20,9 +19,10 @@ from fockwc import (
     check_skew_real_symmetric,
     find_conjugation_normal,
     find_conjugation_real_symmetric,
-    normal_eig,
     validate,
 )
+from fockwc.linalg import normal_eig
+from fockwc.symbols import ScaledKernel
 from fockwc.conjugation import require_valid
 from helpers import (
     rand_kernel_combo,
@@ -231,8 +231,9 @@ def test_concurrent_first_use_matches_single_threaded():
 
 
 def test_trunc_op_equality_compares_type_and_fields():
-    from fockwc import identity_symbol, identity_conjugation
+    from fockwc import identity_conjugation
     from fockwc.oracle import AntilinearTruncOp, TruncOp, trunc_symbol_matrix
+    from fockwc.symbols import identity_symbol
 
     T = trunc_symbol_matrix(identity_symbol(1), 2)
     assert T == trunc_symbol_matrix(identity_symbol(1), 2)
