@@ -9,7 +9,8 @@ bounded-normal classes depend on the symbol alone, so they are computed
 once per ``WcSymbol`` and each check compares a copy of them with its own
 ``tol``.  So is ||Q||, under a key of its own, so that
 ``check_bounded_necessary`` answers even where the normality residual
-overflows.
+overflows.  One ``tol`` decides a call: ``check_J_selfadjoint`` validates J,
+and the conjugation finders gate on these checks, at the ``tol`` given.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def check_J_selfadjoint(
 ) -> tuple[bool, dict]:
     """J-selfadjointness (C = J C* J): (AQ)^t = AQ and
     ell = conj(Aq) + conj(b) - Q* conj(b); theta is unconstrained."""
-    require_valid(J)
+    require_valid(J, tol)
     if S.dim != J.dim:
         raise ValueError("symbol and conjugation dimensions differ")
     # no warning: an overflowing AQ raises by name, an ell target leaves inf

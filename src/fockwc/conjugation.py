@@ -232,7 +232,7 @@ def find_conjugation_real_symmetric(
 
     is a symmetric unitary with (AQ)^t = AQ and A q = conj(q).  Zero
     entries of u take phase 0, so the construction is deterministic.
-    Raises ``NotApplicableError`` outside the (skew-)real-symmetric class.
+    Raises ``NotApplicableError`` outside the class at ``tol``, its only gate.
     """
     from .classify import _real_symmetry_residuals
 
@@ -259,6 +259,8 @@ def find_conjugation_normal(S: WcSymbol, tol: float = DEFAULT_TOL) -> Conjugatio
     symmetric unitary pairing u with conj(v) (identity when both vanish);
     a plain zero phase there would break J-selfadjointness whenever
     v != conj(u) on that eigenspace.
+    Raises ``NotApplicableError`` outside the class at ``tol``, or where
+    ``normal_eig`` finds no unitary V that diagonalizes Q.
     """
     from .classify import _Q_norm, check_normal_bounded
 

@@ -138,9 +138,9 @@ def validate_J_conditions(
     "first_order", reports || l* - conj(A q*) + Omega* conj(b) ||: it is the
     first t-derivative of the selfadjointness identity, implies the second
     condition, and is the one that remains binding when Omega is singular
-    (for invertible Omega the two are equivalent).
+    (for invertible Omega the two are equivalent).  J is validated at ``tol``.
     """
-    require_valid(J)
+    require_valid(J, tol)
     if P.dim != J.dim:
         raise ValueError("semigroup and conjugation dimensions differ")
     # never a warning: AOmega^t - AOmega raises by name where it overflows,

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 import fockwc
-from fockwc import WcSymbol, adjoint_symbol, symbol_distance
+from fockwc import (
+    ConjugationParams,
+    SemigroupParams,
+    WcSymbol,
+    adjoint_symbol,
+    check_J_selfadjoint,
+    symbol_distance,
+    validate,
+)
 from fockwc.cli import run
 from helpers import (
     large_scale_symbol,
@@ -150,6 +158,47 @@ def test_find_conjugation_success_and_na(tmp_path, capsys):
     code, out, _ = invoke(capsys, ["find-conjugation", "--in", path2])
     doc = json.loads(out)
     assert code == 1 and doc["verdict"] == "n/a"
+
+
+# each question is decided once, at --tol: a Q Hermitian or normal only to
+# within --tol, and a J admissible only to within --tol, are not refused by
+# a second check at a fixed tolerance
+_NEARLY_HERMITIAN = WcSymbol(1.0, [0.2, 0.1], [[0.5, 1e-8], [0.0, 0.3]], [0.2, 0.1])
+_NEARLY_UNITARY_J = ConjugationParams([[1.0, 1e-8], [1e-8, 1.0]], [0.0, 0.0], 1.0)
+
+
+def test_find_conjugation_at_tol_on_a_nearly_hermitian_q(tmp_path, capsys):
+    path = write(tmp_path, "S.json", _NEARLY_HERMITIAN.to_json())
+    code, out, err = invoke(capsys, ["find-conjugation", "--in", path, "--tol", "1e-6"])
+    assert code == 0 and err == ""
+    J = ConjugationParams.from_json(json.loads(out)["payload"])
+    assert validate(J, 1e-6)[0] and check_J_selfadjoint(_NEARLY_HERMITIAN, J, 1e-6)[0]
+
+
+def test_find_conjugation_without_a_unitary_diagonalization_is_na(tmp_path, capsys):
+    # Q is normal to within 1e-9 (its commutator is 2.5e-13), but no
+    # unitary V makes V* Q V diagonal to better than 4.5e-7
+    S = WcSymbol(1.0, [0.0, 0.0], [[0.5, 5e-7], [0.0, 0.5]], [0.0, 0.0])
+    path = write(tmp_path, "S.json", S.to_json())
+    code, out, err = invoke(capsys, ["find-conjugation", "--in", path])
+    assert code == 1 and err == ""
+    assert json.loads(out)["verdict"] == "n/a"
+
+
+@pytest.mark.parametrize("command", ["classify", "semigroup-check"])
+def test_conjugation_admissible_at_tol(tmp_path, capsys, command):
+    # ||A A* - I|| = 2e-8: admissible at --tol 1e-6, as validate-conjugation says
+    jpath = write(tmp_path, "J.json", _NEARLY_UNITARY_J.to_json())
+    if command == "classify":
+        path = write(tmp_path, "S.json", _NEARLY_HERMITIAN.to_json())
+        argv = ["classify", "--in", path, "--with-conjugation", jpath]
+    else:
+        P = SemigroupParams(np.diag([0.1, 0.2]), [0, 0], [0, 0], 0.0)
+        path = write(tmp_path, "P.json", P.to_json())
+        argv = ["semigroup-check", "--in", path, "--conj", jpath, "--samples", "2"]
+    code, out, err = invoke(capsys, [*argv, "--tol", "1e-6"])
+    assert code in (0, 1) and "error:" not in err
+    assert json.loads(out)["verdict"] in ("true", "false", "indeterminate")
 
 
 def test_semigroup_at(tmp_path, capsys):

@@ -181,9 +181,14 @@ def test_herm_eig_reconstruction():
         assert np.all(np.diff(dec.eigenvalues.real) >= -1e-12)
 
 
-def test_herm_eig_rejects_non_hermitian():
-    with pytest.raises(PreconditionError):
-        herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+def test_herm_eig_of_a_matrix_is_that_of_its_hermitian_part():
+    # no Hermitian check: herm_eig decomposes (M + M*)/2, bit for bit
+    rng = np.random.default_rng(9)
+    for M in [np.array([[0.0, 1.0], [0.0, 0.0]])] + [crandn(rng, d, d) for d in (1, 2, 3, 8)]:
+        dec, ref = herm_eig(M), herm_eig(0.5 * M + 0.5 * adj(M))
+        assert dec.unitary.tobytes() == ref.unitary.tobytes()
+        assert dec.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert dec.groups == ref.groups
 
 
 @pytest.mark.parametrize("kind", SPECTRUM_KINDS)
@@ -314,24 +319,36 @@ def test_stacked_norms_name_the_non_finite_matrix():
 
 
 # products and differences that overflow at these entries: each call raises
-# a ValueError naming the quantity, never a RuntimeWarning
+# a ValueError naming the quantity, never a RuntimeWarning; the
+# eigendecompositions form no residual there (name None), and return
+# finite values
 _BIG = [[1e308, 1e308], [-1e308, 1e308]]
 
 
 @pytest.mark.parametrize(
     "call, name",
     [
-        (lambda: normal_eig([[1e307]]), r"M M\* - M\* M"),
+        (lambda: normal_eig([[1e307]]), None),
         (lambda: _residual_norms(as_matrix([[1e307]]), "M", "X X* - X* X"), r"M M\* - M\* M"),
-        (lambda: herm_eig(_BIG), r"M - M\*"),
+        (lambda: herm_eig(_BIG), None),
         (lambda: _residual_norms(as_matrix(_BIG), "M", "X - X*"), r"M - M\*"),
         (lambda: _residual_norms(as_matrix(_BIG), "M", "X - X^t"), r"M - M\^t"),
     ],
     ids=["normal_eig", "is_normal", "herm_eig", "is_hermitian", "is_symmetric"],
 )
 def test_overflowing_residual_raises_naming_it(call, name):
+    if name is None:
+        dec = call()
+        assert np.isfinite(dec.unitary).all() and np.isfinite(dec.eigenvalues).all()
+        return
     with pytest.raises(ValueError, match=name + " contains non-finite entries"):
         call()
+
+
+def test_normal_eig_names_an_overflowing_diagonalization():
+    # the eigenvalue 2e308 overflows: refused by name, not warned
+    with pytest.raises(ValueError, match=r"^V\* M V or its off-diagonal norm is not finite$"):
+        normal_eig([[1e308, 1e308], [1e308, 1e308]])
 
 
 def test_op_norm_unitary_invariance():

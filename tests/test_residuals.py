@@ -85,5 +85,7 @@ def test_overflowing_residuals_are_named():
         validate(ConjugationParams([[1e200]], [0.0], 1.0))
     with pytest.raises(ValueError, match=r"^M M\* - M\* M contains non-finite entries"):
         _residual_norms(np.array([[1e200, 0.0], [1.0, 1.0]], dtype=complex), "M", "X X* - X* X")
-    with pytest.raises(ValueError, match=r"^M M\* - M\* M contains non-finite entries"):
-        normal_eig(np.array([[1e200, 0.0], [1.0, 1.0]]))
+    # normal_eig forms no commutator: V* M V is diagonal to within
+    # 1e-10 (1 + ||M||), and its values are finite
+    dec = normal_eig(np.array([[1e200, 0.0], [1.0, 1.0]]))
+    assert np.isfinite(dec.unitary).all() and np.isfinite(dec.eigenvalues).all()
