@@ -10,10 +10,11 @@ is a conjugation (involutive antilinear isometry) exactly when
     (ii)  A conj(b) + b = 0,
     (iii) |c|^2 e^{|b|^2} = 1.
 
-It acts on reproducing kernels by J K_w = c e^{<b, conj(w)>} K_{A* conj(w) + conj(b)},
-which drives everything here: transforming symbols by J C J, forming the
-J-adjoint symbol of J C* J, and constructing a conjugation that makes a
-given real-symmetric or bounded-normal operator J-selfadjoint.
+It is J = C_{S_J} J0, the weighted composition operator of the symbol
+S_J = (c, conj(b), A, b) (``symbol_of``) after J0 f(z) = conj(f(conj z)),
+so J K_w = C_{S_J} K_{conj(w)}.  Also here: J C J, the J-adjoint symbol
+J C* J, and a conjugation making a given real-symmetric or bounded-normal
+operator J-selfadjoint.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from .linalg import (
 )
 # unused here, but kept as a module attribute that benchmarks/tracing.py wraps
 from .linalg import op_norm  # noqa: F401
-from .symbols import ScaledKernel, WcSymbol, _theta_times_exp, _times_exp, adjoint_symbol
+from .symbols import ScaledKernel, WcSymbol, _theta_times_exp, _times_exp, act_on_kernels
+from .symbols import adjoint_symbol
 
 __all__ = [
     "ConjugationParams",
@@ -106,22 +108,17 @@ def require_valid(J: ConjugationParams, tol: float = DEFAULT_TOL) -> None:
         )
 
 
-def apply_to_kernels(J: ConjugationParams, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J K_{w_i} = c e^{expo_i} K_{points_i} for the rows w_i of ``W``:
-    the exponents expo_i = <b, conj(w_i)> and the rows
-    points_i = A* conj(w_i) + conj(b).  Unlike ``apply_to_kernel`` this does
-    not validate J, and overflow gives non-finite entries without a
-    warning; callers check."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return W @ J.b, np.conj(W) @ np.conj(J.A) + np.conj(J.b)
+def symbol_of(J: ConjugationParams) -> WcSymbol:
+    """S_J = (c, conj(b), A, b), with J = C_{S_J} J0; built once per J, J not validated."""
+    return derived(J, "_symbol", lambda J: WcSymbol._owned(J.c, np.conj(J.b), J.A, J.b))
 
 
 def apply_to_kernel(J: ConjugationParams, w) -> ScaledKernel:
-    """Image of K_w under J: c e^{<b, conj(w)>} K_{A* conj(w) + conj(b)}."""
+    """Image of K_w under J: C_{S_J} K_{conj(w)}."""
     require_valid(J)
-    w = as_vector(w, J.dim, "w")
-    expo, points = apply_to_kernels(J, w[None, :])
-    coeff = _times_exp(J.c, complex(expo[0]), "J K_w coefficient")
+    S_J = symbol_of(J)
+    expo, points = act_on_kernels(S_J, np.conj(as_vector(w, J.dim, "w"))[None, :])
+    coeff = _times_exp(S_J.theta, complex(expo[0]), "J K_w coefficient")
     return owned(ScaledKernel, coeff=coeff, point=points[0])
 
 

@@ -490,11 +490,14 @@ def herm_eig(M) -> SpectralDecomposition:
     """Eigendecomposition of the Hermitian part (M + M*)/2, M itself for a
     Hermitian M, with eigenvalues real, sorted ascending, and clustered
     whenever consecutive gaps are at most ``1e-8*(1+||M||)``, where ||M|| is
-    the largest |eigenvalue|.  Whether M is Hermitian is the caller's check.
+    the largest |eigenvalue|.  Whether M is Hermitian is the caller's check;
+    ``ValueError`` where an eigenvalue is not finite.
     """
     M = as_matrix(M)
     # halves first: M + M* overflows where M's entries are near the limit
     w, V = np.linalg.eigh(0.5 * M + 0.5 * adj(M))
+    if not _all_finite(w):
+        raise ValueError("eigenvalues of (M + M*)/2 are not finite")
     cuts = _cuts(w, _default_group_tol(max(-w[0], w[-1])))
     groups = tuple(tuple(range(lo, hi)) for lo, hi in zip(cuts, cuts[1:]))
     return SpectralDecomposition(V, w.astype(np.complex128), groups)

@@ -2,9 +2,10 @@
 
 Engine one works on finite spans of reproducing kernels, where every inner
 product is exact scalar arithmetic through the reproducing property
-``<K_w, K_z> = e^{<z, w>}``.  C_S and J map kernels to scaled kernels in
-closed form, so each kernel-span quantity is one Gram matrix exp(E) of an
-exponent matrix E.  A ``KernelCombo`` is two frozen arrays, coefficients
+``<K_w, K_z> = e^{<z, w>}``.  C_S maps kernels to scaled kernels in closed
+form, and J = C_{S_J} J0 (``conjugation.symbol_of``) does so after
+conjugating them, so each kernel-span quantity is one Gram matrix exp(E) of
+an exponent matrix E.  A ``KernelCombo`` is two frozen arrays, coefficients
 and kernel points, so ``apply_symbol`` and ``apply_conjugation`` are one
 batch call each.  A defect checks its point set once, as one finite (m, d)
 array.  The defects are ratios: both sides share one shift e^{-c} that
@@ -41,7 +42,7 @@ from itertools import groupby
 import numpy as np
 
 from . import jsonio
-from .conjugation import ConjugationParams, apply_to_kernels, require_valid
+from .conjugation import ConjugationParams, require_valid, symbol_of
 from .conjugation import apply_to_kernel  # noqa: F401  wrapped here by benchmarks/tracing.py
 from .errors import DegreeCapError, PreconditionError
 from .linalg import _as_complex_array, as_scalar, as_vector, fields_equal, freeze, op_norm, owned
@@ -190,14 +191,12 @@ def apply_symbol(S: WcSymbol, F: KernelCombo) -> KernelCombo:
 
 
 def apply_conjugation(J: ConjugationParams, F: KernelCombo) -> KernelCombo:
-    """Apply J termwise in one batch, J validated once; antilinear in F."""
+    """Apply J in one batch, J validated once: C_{S_J} on conjugated coefficients and points."""
     if J.dim != F.dim:
         raise ValueError("conjugation and combo dimensions differ")
     require_valid(J)
-    expo, points = apply_to_kernels(J, F.points)
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = np.conj(F.coeffs) * (J.c * np.exp(expo))
-    return owned(KernelCombo, dim=F.dim, coeffs=coeffs, points=points)
+    F0 = owned(KernelCombo, dim=F.dim, coeffs=np.conj(F.coeffs), points=np.conj(F.points))
+    return apply_symbol(symbol_of(J), F0)
 
 
 def _stack_points(points, dim: int) -> np.ndarray:
@@ -273,12 +272,13 @@ def j_symmetry_defect(S: WcSymbol, J: ConjugationParams, points) -> float:
     if S.dim != J.dim:
         raise ValueError("symbol and conjugation dimensions differ")
     Z = _stack_points(points, S.dim)
+    S_J = symbol_of(J)
     a_S, P_S = act_on_kernels(S, Z)
-    a_J, P_J = apply_to_kernels(J, Z)
+    a_J, P_J = act_on_kernels(S_J, np.conj(Z))  # J K_z = C_{S_J} K_{conj(z)}
     E = _log_gram(a_S, P_S, a_J, P_J)
-    coeff = S.theta * np.conj(J.c)
+    coeff = S.theta * np.conj(S_J.theta)
     if coeff == 0:  # the shift takes its log
-        log_mag = math.log(abs(S.theta)) + math.log(abs(J.c))
+        log_mag = math.log(abs(S.theta)) + math.log(abs(S_J.theta))
         raise ValueError(f"theta * conj(c) underflows to zero: log-magnitude {log_mag:.6g}")
     # the other side, coeff exp(E^t), is this one's transpose, entry for entry
     c = _shift((coeff, E))
@@ -444,10 +444,9 @@ def trunc_symbol_matrix(S: WcSymbol, N: int) -> TruncOp:
 
 
 def trunc_conjugation_matrix(J: ConjugationParams, N: int) -> AntilinearTruncOp:
-    """Antilinear section of J, from J e_alpha = c e^{z.b} (Az+b)^alpha/sqrt(alpha!)."""
+    """Antilinear section of J = C_{S_J} J0: that of C_{S_J}, on conjugated coefficients."""
     require_valid(J)
-    mat = _wc_section(J.c, J.b, J.A, J.b, N)
-    return AntilinearTruncOp(J.dim, N, mat)
+    return AntilinearTruncOp(J.dim, N, trunc_symbol_matrix(symbol_of(J), N).matrix)
 
 
 def kernel_coeff_vector(w, N: int) -> np.ndarray:

@@ -67,7 +67,11 @@ class SemigroupParams(Record):
                            "ell_star": VECTOR, "theta_star": COMPLEX})
 
 
-def symbol_at(P: SemigroupParams, t: float, tol: float = 1e-13) -> WcSymbol:
+# accuracy asked of the stacked phi-functions behind every Q_t, q_t and l_t
+_PHI_TOL = 1e-13
+
+
+def symbol_at(P: SemigroupParams, t: float) -> WcSymbol:
     """The symbol (theta_t, l_t, Q_t, q_t) of the semigroup at time t >= 0.
 
     t = 0 returns the identity symbol exactly.  Q_t, phi1 and phi2 come
@@ -75,18 +79,18 @@ def symbol_at(P: SemigroupParams, t: float, tol: float = 1e-13) -> WcSymbol:
     I + t Omega phi1(t Omega), which cancels when e^{t Omega} is small.
     l_t uses the adjoint of phi1(t Omega), which equals phi1(t Omega*)
     identically (real series coefficients) and keeps the two coefficient
-    paths numerically in step.  It is ``symbols_at(P, [t], tol)[0]``.
+    paths numerically in step.  It is ``symbols_at(P, [t])[0]``.
     """
-    return symbols_at(P, [t], tol)[0]
+    return symbols_at(P, [t])[0]
 
 
-def symbols_at(P: SemigroupParams, times, tol: float = 1e-13) -> list[WcSymbol]:
+def symbols_at(P: SemigroupParams, times) -> list[WcSymbol]:
     """The symbols of the semigroup at each of ``times``, in order.
 
     Each time is checked as ``symbol_at`` checks it, with its messages, and
     t = 0 gives the identity symbol exactly.  The positive times share one
     stacked ``phi12``: each e^{t Omega} keeps its own scaling power, all
-    share the largest Taylor degree, so each stays within ``tol``.  A
+    share the largest Taylor degree, so each stays within ``_PHI_TOL``.  A
     single time gives ``symbol_at``'s bits, as does any time whose own
     degree is the shared one.  A theta_t that overflows or underflows, and a
     t Omega whose exponential ``expm`` refuses for its lost digits, are
@@ -111,7 +115,7 @@ def symbols_at(P: SemigroupParams, times, tol: float = 1e-13) -> list[WcSymbol]:
             for t, M in zip(positive, tOmega):
                 np.multiply(t, P.Omega, M)
             try:
-                Q, p1, p2 = phi12(tOmega, tol)
+                Q, p1, p2 = phi12(tOmega, _PHI_TOL)
             except _DigitsLost as exc:
                 raise ValueError(f"Q_t at t = {positive[exc.member]!r}: {exc}") from None
             p1_q, p1_ell, p2_q = p1 @ P.q_star, adj(p1) @ P.ell_star, p2 @ P.q_star
@@ -212,27 +216,21 @@ def generator_apply(P: SemigroupParams, f: MPoly) -> MPoly:
     return out
 
 
-def generator_fd_residual(
-    P: SemigroupParams, f: MPoly, h: float, N: int | None = None
-) -> float:
+def generator_fd_residual(P: SemigroupParams, f: MPoly, h: float) -> float:
     """Forward-difference check of the generator: || (C(h)f - f)/h - G f ||.
 
-    Coefficients are compared up to degree deg(f) + 1 on the truncated
-    basis (exact there, since composition cannot raise those coefficients
-    from degrees beyond N).  The residual is O(h) for generic input;
-    ``ValueError`` where it overflows.
+    Coefficients are compared up to degree deg(f) + 1 on the section of
+    degree N = deg(f) + 2, where they are exact: a larger N only adds zero
+    terms to them.  The residual is O(h) for generic input; ``ValueError`` where it
+    overflows.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
-    deg = max(f.degree(), 0)
-    if N is None:
-        N = deg + 2
-    if N < deg + 2:
-        raise ValueError("need N >= deg(f) + 2")
+    N = max(f.degree(), 0) + 2
     T = trunc_symbol_matrix(symbol_at(P, h), N)
     v = poly_coeff_vector(f, N)
     g = poly_coeff_vector(generator_apply(P, f), N)
-    mask = _tables(P.dim, N).degree <= deg + 1
+    mask = _tables(P.dim, N).degree < N
     with np.errstate(over="ignore", invalid="ignore"):
         resid = float(np.linalg.norm(((T.apply(v) - v) / h - g)[mask]))
     if not math.isfinite(resid):

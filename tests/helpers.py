@@ -222,6 +222,13 @@ def ref_j_symmetry_defect(S, J, points):
     return float(np.max(np.abs(B - B.T))) / (1.0 + float(np.max(np.abs(B))))
 
 
+def ref_conjugation_kernels(J, W):
+    """J K_{w_i} = c e^{expo_i} K_{points_i} for the rows w_i of ``W`` by the
+    written-out formula: expo = W b and points = conj(W) conj(A) + conj(b)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return W @ J.b, np.conj(W) @ np.conj(J.A) + np.conj(J.b)
+
+
 def large_scale_symbol(rng, d, scale=300.0, radius=3.0):
     """Real-symmetric symbol with ||ell|| = ||q|| = scale, plus kernel points
     that include two of length about radius along q, so |<q, w>| reaches

@@ -51,8 +51,6 @@ ERRORS = {
                                  "times must be non-negative"),
     "generator_fd_residual_h0": (lambda: fw.generator_fd_residual(P1, f1, 0.0),
                                  "step h must be positive"),
-    "generator_fd_residual_small_N": (lambda: fw.generator_fd_residual(P1, f1, 0.1, N=2),
-                                      "need N >= deg(f) + 2"),
     "exp_tail_negative_rho": (lambda: fw.oracle.exp_tail(-1.0, 4), "rho must be non-negative"),
     "identity_symbol_0": (lambda: fw.symbols.identity_symbol(0), "dimension must be positive"),
     "KernelCombo_0": (lambda: fw.KernelCombo(0, [], np.zeros((0, 0))),
@@ -91,6 +89,8 @@ ERRORS = {
                                  "coeffs must be an array of complex numbers"),
     "MPoly_string_index": (lambda: MPoly(1, {("x",): 1}), "bad multi-index ('x',)"),
     "MPoly_int_key": (lambda: MPoly(1, {5: 1}), "bad multi-index 5"),
+    "herm_eig_not_finite": (lambda: fw.linalg.herm_eig([[1e308, 1e308], [1e308, 1e308]]),
+                            "eigenvalues of (M + M*)/2 are not finite"),
     # theta conj(c) = 1e-200 e^-450 underflows for a valid J and a valid symbol
     "j_symmetry_defect_coeff_underflow": (
         lambda: fw.j_symmetry_defect(TINY_S, TINY_C_J, [[0.1], [0.3]]),
@@ -197,3 +197,18 @@ def test_cli_j_symmetry_defect_underflow_names_theta_conj_c(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: theta * conj(c) underflows to zero: log-magnitude -910.517\n"
+
+
+# a real-symmetric symbol whose Hermitian Q has the eigenvalue 2e308
+HUGE_Q_SYMBOL = {"theta": [1, 0], "ell": [[0, 0], [0, 0]], "q": [[0, 0], [0, 0]],
+                 "Q": [[[1e308, 0], [1e308, 0]], [[1e308, 0], [1e308, 0]]]}
+
+
+@pytest.mark.filterwarnings("error")
+def test_find_conjugation_refuses_an_eigenvalue_that_overflows(tmp_path, capsys):
+    path = tmp_path / "S.json"
+    path.write_text(json.dumps(HUGE_Q_SYMBOL))
+    assert run(["find-conjugation", "--in", str(path), "--mode", "real"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: eigenvalues of (M + M*)/2 are not finite\n"

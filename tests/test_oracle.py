@@ -29,7 +29,6 @@ from fockwc import (
 from fockwc import conjugation, oracle
 from fockwc.oracle import MAX_TRUNC_BASIS, _tables, exp_tail, poly_coeff_vector
 from fockwc.polynomials import MPoly
-from fockwc.conjugation import apply_to_kernels
 from fockwc.symbols import act_on_kernel, act_on_kernels, identity_symbol
 from helpers import (
     combo_termwise_dev,
@@ -43,6 +42,7 @@ from helpers import (
     rand_valid_conjugation,
     ref_apply_conjugation,
     ref_apply_symbol,
+    ref_conjugation_kernels,
     ref_combo_value,
     ref_j_symmetry_defect,
     ref_column_section,
@@ -270,7 +270,7 @@ def _reference_defects(S, T, J, points):
     Z = ref_stack_points(points, S.dim)
     a_S, P_S = act_on_kernels(S, Z)
     a_T, P_T = act_on_kernels(T, Z)
-    a_J, P_J = apply_to_kernels(J, Z)
+    a_J, P_J = ref_conjugation_kernels(J, Z)
     E = oracle._log_gram(a_S, P_S, a_J, P_J)
     coeff = S.theta * np.conj(J.c)
     return (
