@@ -124,7 +124,7 @@ def _cmd_adjoint(args) -> dict:
 def _cmd_conjugate(args) -> dict:
     S = _sym.WcSymbol.from_json(_load_json(args.infile))
     J = _conj.ConjugationParams.from_json(_load_json(args.conj))
-    return _emit("true", payload=_conj.conjugate_by_J(S, J).to_json())
+    return _emit("true", payload=_conj.conjugate_by_J(S, J, args.tol).to_json())
 
 
 def _cmd_find_conjugation(args) -> dict:
@@ -185,7 +185,7 @@ def _cmd_oracle_defect(args) -> dict:
     residuals = {"adjoint_defect": _oracle.adjoint_defect(S, points)}
     if args.conj:
         J = _conj.ConjugationParams.from_json(_load_json(args.conj))
-        residuals["j_symmetry_defect"] = _oracle.j_symmetry_defect(S, J, points)
+        residuals["j_symmetry_defect"] = _oracle.j_symmetry_defect(S, J, points, args.tol)
     return _emit(_verdict(residuals, args.tol), residuals)
 
 

@@ -122,7 +122,7 @@ def apply_to_kernel(J: ConjugationParams, w) -> ScaledKernel:
     return owned(ScaledKernel, coeff=coeff, point=points[0])
 
 
-def conjugate_by_J(S: WcSymbol, J: ConjugationParams) -> WcSymbol:
+def conjugate_by_J(S: WcSymbol, J: ConjugationParams, tol: float = DEFAULT_TOL) -> WcSymbol:
     """Symbol of the twisted operator J C_S J.
 
     Closed form obtained by pushing f through J, C_S, J and collecting the
@@ -135,9 +135,10 @@ def conjugate_by_J(S: WcSymbol, J: ConjugationParams) -> WcSymbol:
         theta' = |c|^2 conj(theta)
                  * exp(l.b + conj(b).conj(Q)b + conj(q.b))
 
-    where dots denote the unconjugated bilinear sum.
+    where dots denote the unconjugated bilinear sum.  J must be admissible
+    at ``tol``.
     """
-    require_valid(J)
+    require_valid(J, tol)
     if S.dim != J.dim:
         raise ValueError("symbol and conjugation dimensions differ")
     A, b, c = J.A, J.b, J.c

@@ -29,13 +29,19 @@ where a run no longer stays in cache, one column per call.  Both orders do
 the same floating-point operations, so they agree bit for bit.  A row
 bound m builds only the rows of degree <= m (a prefix in graded order) and
 gets those rows of the full section exactly; ``cross_check`` builds only
-the rows of degree <= N/2 that it compares.
+the rows of degree <= N/2 that it compares.  It builds them in a
+per-thread workspace, which keeps the work array, the float ratio
+sqrt(gamma!/alpha!) and the block, grown to the largest block the thread
+has needed: 4.8 MiB at (d, N) = (4, 10), at most 50.8 MiB at the caps
+(3, 24).  A warm ``cross_check`` so touches no fresh pages.  Every other
+section is a fresh array.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -45,7 +51,9 @@ from . import jsonio
 from .conjugation import ConjugationParams, require_valid, symbol_of
 from .conjugation import apply_to_kernel  # noqa: F401  wrapped here by benchmarks/tracing.py
 from .errors import DegreeCapError, PreconditionError
-from .linalg import _as_complex_array, as_scalar, as_vector, fields_equal, freeze, op_norm, owned
+from .linalg import (
+    DEFAULT_TOL, _as_complex_array, as_scalar, as_vector, fields_equal, freeze, op_norm, owned,
+)
 from .polynomials import MPoly, mi_factorial, multi_indices
 from .symbols import ScaledKernel, WcSymbol, act_on_kernel, act_on_kernels, adjoint_symbol
 
@@ -262,13 +270,15 @@ def adjoint_defect(S: WcSymbol, points) -> float:
     return pairing_defect(S, adjoint_symbol(S), points)
 
 
-def j_symmetry_defect(S: WcSymbol, J: ConjugationParams, points) -> float:
+def j_symmetry_defect(S: WcSymbol, J: ConjugationParams, points,
+                      tol: float = DEFAULT_TOL) -> float:
     """Asymmetry of the bilinear form [f, g] = <C_S f, J g> on kernels.
 
     C_S is J-selfadjoint iff the form is symmetric; the returned value is
-    the largest relative deviation |[K_zi, K_zj] - [K_zj, K_zi]|.
+    the largest relative deviation |[K_zi, K_zj] - [K_zj, K_zi]|.  J must
+    be admissible at ``tol``.
     """
-    require_valid(J)
+    require_valid(J, tol)
     if S.dim != J.dim:
         raise ValueError("symbol and conjugation dimensions differ")
     Z = _stack_points(points, S.dim)
@@ -356,9 +366,39 @@ def _monomials(w: np.ndarray, tab: _IndexTables) -> np.ndarray:
     return np.prod(np.power(w[None, :], tab.alpha), axis=1)
 
 
+# dtype and memory order of a section build's work array, its ratio
+# sqrt(gamma!/alpha!) and its block; the block's C order fixes the bits of
+# ``block @ vector``
+_SECTION_LAYOUT = ((np.complex128, "F"), (np.float64, "C"), (np.complex128, "C"))
+
+
+class _Workspace(threading.local):
+    """One thread's flat buffers for ``cross_check``'s section blocks: the
+    work array, the ratio and the block, grown together to the largest
+    block the thread has needed and kept for the life of the thread, so a
+    warm build touches no fresh pages."""
+
+    def __init__(self):
+        self.buffers: list[np.ndarray] = []
+
+    def arrays(self, shape: tuple[int, int]) -> list[np.ndarray]:
+        """Uninitialised views of the buffers in ``_SECTION_LAYOUT``, which
+        the thread's next call overwrites."""
+        size = shape[0] * shape[1]
+        if not self.buffers or self.buffers[0].size < size:
+            self.buffers.clear()  # release the smaller buffers before allocating
+            self.buffers += [np.empty(size, dtype) for dtype, _ in _SECTION_LAYOUT]
+        return [buf[:size].reshape(shape, order=order)
+                for buf, (_, order) in zip(self.buffers, _SECTION_LAYOUT)]
+
+
+_WORKSPACE = _Workspace()
+
+
 def _wc_section(c0: complex, wvec: np.ndarray, B: np.ndarray,
                 beta: np.ndarray, N: int, rows: int | None = None) -> np.ndarray:
-    """Section of f -> c0 e^{z.wvec} f(B z + beta) on the normalized basis.
+    """Section of f -> c0 e^{z.wvec} f(B z + beta) on the normalized basis,
+    as a fresh array.
 
     Dots denote the plain bilinear sum.  Raw column alpha holds the terms of
     degree <= N of c0 e^{z.wvec} (B z + beta)^alpha: column 0 is c0
@@ -369,7 +409,21 @@ def _wc_section(c0: complex, wvec: np.ndarray, B: np.ndarray,
     the graded prefix of the full section, equal to it bit for bit, since
     those rows of a column depend only on the rows of degree <= m of its
     parent (whose rows of degree < m feed the products with z_j).
-    ``cross_check`` builds its rows of degree <= N // 2 this way.
+    ``cross_check`` builds its rows of degree <= N // 2 the same way, with
+    ``_build_section`` in its thread's workspace.
+    """
+    tab = _tables(wvec.size, N)
+    m = N if rows is None else rows
+    shape = (tab.graded_end[m + 1], len(tab.indices))
+    arrays = [np.empty(shape, dtype, order=order) for dtype, order in _SECTION_LAYOUT]
+    return _build_section(c0, wvec, B, beta, tab, m, *arrays)
+
+
+def _build_section(c0: complex, wvec: np.ndarray, B: np.ndarray, beta: np.ndarray,
+                   tab: _IndexTables, m: int, raw: np.ndarray, ratio: np.ndarray,
+                   block: np.ndarray) -> np.ndarray:
+    """The rows of degree <= m of ``_wc_section``, built in the work array
+    ``raw`` and the ``ratio``, and returned as ``block`` (``_SECTION_LAYOUT``).
 
     The columns of degree g and first axis k form one run whose parents are
     one run of degree g - 1, so with at most ``LAYERED_MAX_ROWS`` rows each
@@ -382,17 +436,12 @@ def _wc_section(c0: complex, wvec: np.ndarray, B: np.ndarray,
     products and sums in the same order either way.  Any overflow raises
     ``ValueError`` instead of returning a non-finite section.
     """
-    d = wvec.size
-    tab = _tables(d, N)
-    m = N if rows is None else rows
     n_src, n_rows = tab.graded_end[m], tab.graded_end[m + 1]
     # per axis k, the nonzero linear terms of beta_k + sum_j B_kj z_j
     terms = [
         [(tab.shifts[j][:n_src], b) for j, b in enumerate(Bk) if b != 0]
         for Bk in B.tolist()
     ]
-
-    raw = np.empty((n_rows, len(tab.indices)), dtype=np.complex128, order="F")
     # the inputs are finite, so only an overflow (or an inf times 0 after
     # one) can make an entry non-finite; trapping it costs nothing, where a
     # scan of the result took 10% of a full (5, 10) build
@@ -405,7 +454,8 @@ def _wc_section(c0: complex, wvec: np.ndarray, B: np.ndarray,
                 np.multiply(beta[k], v, out=out)
                 for dest, b in terms[k]:
                     out[dest] += b * v[:n_src]
-            return raw * (tab.sqrt_fact[:n_rows, None] / tab.sqrt_fact[None, :])
+            np.divide(tab.sqrt_fact[:n_rows, None], tab.sqrt_fact[None, :], out=ratio)
+            return np.multiply(raw, ratio, out=block)
     except FloatingPointError:
         raise ValueError("truncated section is not finite") from None
 
@@ -529,7 +579,8 @@ def cross_check(S: WcSymbol, w, N: int, tol: float = 1e-8) -> float:
             f"truncation tail bound {bound:.3e} is not below tol={tol:.1e}; "
             "shrink the data or raise N"
         )
-    block = _wc_section(S.theta, np.conj(S.ell), S.Q, S.q, N, rows=m)
+    arrays = _WORKSPACE.arrays((n_rows, len(tab.indices)))
+    block = _build_section(S.theta, np.conj(S.ell), S.Q, S.q, tab, m, *arrays)
     lhs = block @ kernel_coeff_vector(w, N)
     img = act_on_kernel(S, w)
     rhs = img.coeff * kernel_coeff_vector(img.point, N)[:n_rows]

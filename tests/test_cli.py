@@ -201,6 +201,21 @@ def test_conjugation_admissible_at_tol(tmp_path, capsys, command):
     assert json.loads(out)["verdict"] in ("true", "false", "indeterminate")
 
 
+@pytest.mark.parametrize("command", ["conjugate", "oracle-defect"])
+def test_conjugation_admissible_at_tol_in_its_action(tmp_path, capsys, command):
+    # J itself acts here, and is checked at --tol, not at the default 1e-9
+    path = write(tmp_path, "S.json", _NEARLY_HERMITIAN.to_json())
+    jpath = write(tmp_path, "J.json", _NEARLY_UNITARY_J.to_json())
+    if command == "conjugate":
+        argv = ["conjugate", "--in", path, "--conj", jpath]
+    else:
+        ppath = write(tmp_path, "P.json", {"points": [[[0.1, 0], [0.2, 0]], [[0.3, 0], [0, 0.1]]]})
+        argv = ["oracle-defect", "--in", path, "--conj", jpath, "--points", ppath]
+    code, out, err = invoke(capsys, [*argv, "--tol", "1e-6"])
+    assert code in (0, 1) and "error:" not in err
+    assert json.loads(out)["verdict"] in ("true", "false", "indeterminate")
+
+
 def test_semigroup_at(tmp_path, capsys):
     P = {
         "d": 1,

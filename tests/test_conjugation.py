@@ -16,6 +16,7 @@ from fockwc import (
     identity_conjugation,
     inner,
     j_adjoint_symbol,
+    j_symmetry_defect,
     find_conjugation_normal,
     find_conjugation_real_symmetric,
     pairing,
@@ -391,3 +392,20 @@ def test_validate_overflow_names_the_unitarity_defect():
     # A A* overflows at A = [[1e200]]: a named ValueError, not a RuntimeWarning
     with pytest.raises(ValueError, match=r"A A\* - I contains non-finite entries"):
         validate(ConjugationParams([[1e200]], [0.0], 1.0))
+
+
+@pytest.mark.parametrize("action", ["conjugate_by_J", "j_symmetry_defect"])
+def test_conjugation_admissible_at_tol_in_its_action(action):
+    # ||A A* - I|| = 2e-8: admissible at tol 1e-6, not at the default 1e-9
+    S = WcSymbol(1.0, [0.2, 0.1], [[0.5, 1e-8], [0.0, 0.3]], [0.2, 0.1])
+    J = ConjugationParams([[1.0, 1e-8], [1e-8, 1.0]], [0.0, 0.0], 1.0)
+    points = [[0.1, 0.2], [0.3, 0.1j]]
+    call = {
+        "conjugate_by_J": lambda *tol: conjugate_by_J(S, J, *tol),
+        "j_symmetry_defect": lambda *tol: j_symmetry_defect(S, J, points, *tol),
+    }[action]
+    call(1e-6)
+    with pytest.raises(PreconditionError, match=r"^conjugation parameters violate the "
+                       r"admissibility conditions: matrix=2\.000e-08, vector=0\.000e\+00, "
+                       r"scalar=0\.000e\+00$"):
+        call()
