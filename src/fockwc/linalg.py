@@ -34,10 +34,15 @@ all share one degree, the largest of the members' own, so every product is
 one matmul on the stack.  ``tol`` keeps its meaning for each member: a
 member whose own degree is lower only gains terms, which lowers its
 remainder, and a member of the shared degree gets its single-matrix bits
-(from n = 2 on, so for every augmented matrix of ``phi12``).  A member
-whose 1-norm is at least 2**50 is refused, unless its exponential rounds to
-zero outside a nilpotent block: it would come back finite with no correct
-digit.
+(from n = 2 on, so for every augmented matrix of ``phi12`` and every
+bordered matrix of a semigroup time).  A member whose 1-norm is at least
+2**50 is refused: it would come back finite with no correct digit.  Exempt
+is a member that, in the order (N1, D, N2), is block upper triangular with
+e^(M_DD) below the least subnormal and M_N1N1, M_N2N2 strictly upper
+triangular, as the bordered matrix [[0, t l*^H, 0], [0, t Omega, t q*],
+[0, 0, 0]] is for a t Omega whose exponential rounds to zero.  The
+semigroups read their symbols off that bordered matrix, so ``phi12`` is
+no longer on their path.
 
 NumPy is the only dependency.  ``herm_eig`` decomposes H1 = (M + M*)/2.
 Normal matrices are diagonalized through their commuting Hermitian parts H1
@@ -69,8 +74,8 @@ _EXPM_MAX_TERMS = 64
 # expm refuses a member whose 1-norm is at least 2**50, where ||M||_1 u >= 1/8
 # for the unit roundoff u = 2**-53: the relative condition number of e^M is
 # about ||M|| (Van Loan 1977), so the rounding of M's own entries already
-# leaves no correct digit there, unless e^M rounds to zero outside a
-# nilpotent block
+# leaves no correct digit there, unless e^M rounds to zero outside two
+# nilpotent blocks (``_keeps_digits``)
 _EXPM_MAX_NORM = 2.0 ** 50
 # e^x rounds to zero for x below this: half the least subnormal is e^-745.13
 _EXP_UNDERFLOW = -746.0
@@ -326,19 +331,29 @@ def _as_stack(M) -> tuple[np.ndarray, bool]:
 
 
 def _keeps_digits(M: np.ndarray) -> bool:
-    """Whether e^M keeps its digits whatever its norm: up to a permutation,
-    M is [[M_DD, M_DN], [0, M_NN]] with M_NN strictly upper triangular, so
-    that e^(M_NN) is a polynomial in M_NN, and with e^(M_DD) below the least
-    subnormal.  The rows D bound it by the logarithmic norm,
+    """Whether e^M keeps its digits whatever its norm: in the order
+    (N1, D, N2), M is block upper triangular with e^(M_DD) below the least
+    subnormal and M_N1N1, M_N2N2 strictly upper triangular, so that their
+    exponentials are polynomials in them.  N1 holds the other rows with an
+    entry in the columns D, N2 the rest, each in index order; so M without
+    its block M_DD is strictly upper triangular in that order.  The rows D
+    bound e^(M_DD) by the logarithmic norm,
     ||e^(M_DD)||_inf <= e^mu, mu = max_i (Re m_ii + sum_{j != i} |m_ij|),
-    with 2**-40 ||M||_inf to spare for rounding.  The augmented matrix of
-    ``phi12`` for a t Omega whose exponential rounds to zero is one."""
+    with 2**-40 ||M||_inf to spare for rounding.  The bordered matrix of a
+    semigroup time, and the augmented matrix of ``phi12``, for a t Omega
+    whose exponential rounds to zero are such matrices."""
     size = np.abs(M)
     rows = size.sum(axis=1)
     mu = M.diagonal().real + rows - size.diagonal()
     decayed = mu + 2.0 ** -40 * float(rows.max()) <= _EXP_UNDERFLOW
-    rest = M[~decayed]
-    return not (rest[:, decayed].any() or np.tril(rest[:, ~decayed]).any())
+    first = ~decayed & M[:, decayed].any(axis=1)
+    order = np.concatenate([first.nonzero()[0], decayed.nonzero()[0],
+                            (~decayed & ~first).nonzero()[0]])
+    P = M[np.ix_(order, order)]
+    lo = np.count_nonzero(first)
+    hi = lo + np.count_nonzero(decayed)
+    P[lo:hi, lo:hi] = 0.0
+    return not np.tril(P).any()
 
 
 class _DigitsLost(ValueError):
@@ -381,7 +396,7 @@ def expm(M, tol: float = 1e-14) -> np.ndarray:
     1-norm of a member or of a result raises ``ValueError``, and so does a
     member of 1-norm at least 2**50, naming it: the rounding of that
     member's entries alone leaves its exponential no correct digit, unless
-    its non-negligible part is a polynomial in a nilpotent block
+    its non-negligible part is a polynomial in two nilpotent blocks
     (``_keeps_digits``), as for a t Omega whose exponential rounds to zero.
     """
     stack, stacked = _as_stack(M)

@@ -361,9 +361,10 @@ def _tables(d: int, N: int) -> _IndexTables:
     return _TABLES[key]
 
 
-def _monomials(w: np.ndarray, tab: _IndexTables) -> np.ndarray:
-    """w^alpha for every multi-index alpha of the tables."""
-    return np.prod(np.power(w[None, :], tab.alpha), axis=1)
+def _monomials(w: np.ndarray, tab: _IndexTables, rows: int) -> np.ndarray:
+    """w^alpha for the first ``rows`` multi-indices alpha of the tables; each
+    entry has the bits it has among all of them."""
+    return np.prod(np.power(w[None, :], tab.alpha[:rows]), axis=1)
 
 
 # dtype and memory order of a section build's work array, its ratio
@@ -447,7 +448,7 @@ def _build_section(c0: complex, wvec: np.ndarray, B: np.ndarray, beta: np.ndarra
     # scan of the result took 10% of a full (5, 10) build
     try:
         with np.errstate(over="raise", invalid="raise"):
-            raw[:, 0] = c0 * _monomials(wvec, tab)[:n_rows] / tab.fact[:n_rows]
+            raw[:, 0] = c0 * _monomials(wvec, tab, n_rows) / tab.fact[:n_rows]
             for k, cols, pars in tab.runs if n_rows <= LAYERED_MAX_ROWS else tab.columns:
                 v = raw[:, pars]
                 out = raw[:, cols]
@@ -503,8 +504,14 @@ def kernel_coeff_vector(w, N: int) -> np.ndarray:
     """Basis coefficients of K_w up to degree N: conj(w)^alpha/sqrt(alpha!)."""
     w = as_vector(w, name="w")
     tab = _tables(w.size, N)
+    return _kernel_coeffs(w, tab, len(tab.indices))
+
+
+def _kernel_coeffs(w: np.ndarray, tab: _IndexTables, rows: int) -> np.ndarray:
+    """The first ``rows`` entries of ``kernel_coeff_vector`` of a valid ``w``,
+    computed alone, with the same bits."""
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _monomials(np.conj(w), tab) / tab.sqrt_fact
+        v = _monomials(np.conj(w), tab, rows) / tab.sqrt_fact[:rows]
     if not np.isfinite(v).all():
         raise ValueError("kernel coefficient vector is not finite")
     return v
@@ -583,5 +590,5 @@ def cross_check(S: WcSymbol, w, N: int, tol: float = 1e-8) -> float:
     block = _build_section(S.theta, np.conj(S.ell), S.Q, S.q, tab, m, *arrays)
     lhs = block @ kernel_coeff_vector(w, N)
     img = act_on_kernel(S, w)
-    rhs = img.coeff * kernel_coeff_vector(img.point, N)[:n_rows]
+    rhs = img.coeff * _kernel_coeffs(img.point, tab, n_rows)
     return float(np.linalg.norm(lhs - rhs))

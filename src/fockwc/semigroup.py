@@ -7,11 +7,18 @@ symbol family
     q_t = int_0^t e^{s Omega} q* ds          = t phi1(t Omega) q*,
     l_t = int_0^t e^{s Omega*} l* ds         = t phi1(t Omega)* l*,
     theta_t = exp(theta* t + <int_0^t q_s ds, l*>),
-        with int_0^t q_s ds = t^2 phi2(t Omega) q*.
+        with <int_0^t q_s ds, l*> = t^2 l*^H phi2(t Omega) q*.
 
-The integrals are evaluated in closed form through the phi-functions, which
-stays correct for singular Omega.  The generator acts on polynomials as the
-first-order differential operator
+All four are read off one exponential of the bordered (d+2) x (d+2) matrix
+(Van Loan, IEEE TAC 1978)
+
+    W = [[0, t l*^H, 0], [0, t Omega, t q*], [0, 0, 0]],
+    e^W = [[1, t l*^H phi1, t^2 l*^H phi2 q*], [0, e^{t Omega}, t phi1 q*], [0, 0, 1]],
+
+with phi_k = phi_k(t Omega): Q_t is the middle block, q_t the last column,
+l_t the conjugate of the first row and the theta_t integral the corner.  No
+inverse of Omega is taken, so this stays correct for singular Omega.  The
+generator acts on polynomials as the first-order differential operator
 
     G f(z) = (theta* + <z, l*>) f(z) + sum_k (df/dz_k)(z) (Omega z + q*)_k,
 
@@ -30,11 +37,12 @@ import numpy as np
 
 from .jsonio import COMPLEX, MATRIX, VECTOR, Record
 from .conjugation import ConjugationParams, require_valid
+from . import linalg
 from .linalg import (
-    DEFAULT_TOL, _DigitsLost, _residual_norms, adj, as_vector, pairing, phi12, residuals_within,
+    DEFAULT_TOL, _DigitsLost, _residual_norms, adj, as_vector, derived, pairing, residuals_within,
 )
 # unused here, but kept as module attributes that benchmarks/tracing.py wraps
-from .linalg import expm, op_norm  # noqa: F401
+from .linalg import expm, op_norm, phi12  # noqa: F401
 from .oracle import poly_coeff_vector, trunc_symbol_matrix, _tables
 from .polynomials import MPoly
 from .symbols import (
@@ -67,34 +75,67 @@ class SemigroupParams(Record):
                            "ell_star": VECTOR, "theta_star": COMPLEX})
 
 
-# accuracy asked of the stacked phi-functions behind every Q_t, q_t and l_t
+# accuracy asked of the stacked exponentials behind every Q_t, q_t and l_t
 _PHI_TOL = 1e-13
 
 
 def symbol_at(P: SemigroupParams, t: float) -> WcSymbol:
     """The symbol (theta_t, l_t, Q_t, q_t) of the semigroup at time t >= 0.
 
-    t = 0 returns the identity symbol exactly.  Q_t, phi1 and phi2 come
-    from one augmented exponential; Q_t is its top-left block, not
-    I + t Omega phi1(t Omega), which cancels when e^{t Omega} is small.
-    l_t uses the adjoint of phi1(t Omega), which equals phi1(t Omega*)
-    identically (real series coefficients) and keeps the two coefficient
-    paths numerically in step.  It is ``symbols_at(P, [t])[0]``.
+    t = 0 returns the identity symbol exactly.  All four components come
+    from one exponential of the bordered matrix W of the module docstring:
+    Q_t is its middle block, not I + t Omega phi1(t Omega), which cancels
+    when e^{t Omega} is small; q_t is its last column, l_t the conjugate of
+    its first row, t phi1(t Omega)* l*, and the theta_t integral its corner.
+    It is ``symbols_at(P, [t])[0]``.
     """
     return symbols_at(P, [t])[0]
+
+
+def _pow2(k: int) -> float:
+    """2**k as a Python float, ``inf`` where it overflows."""
+    try:
+        return math.ldexp(1.0, k)
+    except OverflowError:
+        return math.inf
+
+
+def _border_vectors(P: SemigroupParams) -> tuple:
+    """q* and conj(l*), each as (v 2**-k, ||v 2**-k||_1, k) with the largest
+    real or imaginary part of v 2**-k in [1/2, 1): exact down to the
+    subnormal range, and finite where ||v||_1 itself would overflow."""
+    out = []
+    for v in (P.q_star, np.conj(P.ell_star)):
+        k = math.frexp(float(np.abs(v.view(np.float64)).max()))[1]
+        v = np.ldexp(v.view(np.float64), -k).view(np.complex128)
+        out.append((v, float(np.abs(v).sum()), k))
+    return tuple(out)
+
+
+def _border_power(t: float, norm: float) -> int:
+    """The power k with 2**-k t ``norm`` in (1/4, 1/2], from exponents alone,
+    so that t ``norm`` never overflows; 0 for a zero ``norm``."""
+    mt, et = math.frexp(t)
+    m, e = math.frexp(mt * norm)
+    return 0 if m == 0 else et + e + (m != 0.5)
 
 
 def symbols_at(P: SemigroupParams, times) -> list[WcSymbol]:
     """The symbols of the semigroup at each of ``times``, in order.
 
     Each time is checked as ``symbol_at`` checks it, with its messages, and
-    t = 0 gives the identity symbol exactly.  The positive times share one
-    stacked ``phi12``: each e^{t Omega} keeps its own scaling power, all
-    share the largest Taylor degree, so each stays within ``_PHI_TOL``.  A
-    single time gives ``symbol_at``'s bits, as does any time whose own
-    degree is the shared one.  A theta_t that overflows or underflows, and a
-    t Omega whose exponential ``expm`` refuses for its lost digits, are
-    named with their own time.
+    t = 0 gives the identity symbol exactly.  Each positive time t has its
+    bordered matrix W, and all of them go through one stacked
+    ``linalg.expm``: each keeps its own scaling power, all share the largest
+    Taylor degree, so each stays within ``_PHI_TOL``.  Each border of W is
+    scaled by an exact power of two to a 1-norm in (1/4, 1/2], and q_t, l_t
+    and the corner are scaled back by it exactly.  The Taylor degree follows
+    ||W||_1, so a border far smaller than t Omega would lose phi2's corner,
+    and one far larger would cost squarings and digits; at most 1/2, it
+    moves ||W||_1 at most 1/2 from ||t Omega||_1.  A single time gives
+    ``symbol_at``'s bits, as does any time whose own degree is the shared
+    one.  A theta_t that overflows or underflows, and a W whose exponential
+    ``expm`` refuses for its lost digits, are named with their own time.
     """
     times = [float(t) for t in times]
     positive = []
@@ -107,23 +148,33 @@ def symbols_at(P: SemigroupParams, times) -> list[WcSymbol]:
             positive.append(t)
     computed = []
     if positive:
-        # never a warning: an overflowing t Omega is rejected by phi12, an
-        # overflowing component by name in pairing or WcSymbol
+        (q_hat, q_norm, q_k), (ell_hat, ell_norm, ell_k) = derived(
+            P, "_border_vectors", _border_vectors
+        )
+        d = P.dim
+        W = np.zeros((len(positive), d + 2, d + 2), dtype=np.complex128)
+        powers = []
+        # never a warning: an overflowing t Omega is rejected by expm, an
+        # overflowing component by name in WcSymbol or in theta_t
         with np.errstate(over="ignore", invalid="ignore"):
-            # one product per time: for one time, cheaper than a broadcast
-            tOmega = np.empty((len(positive), *P.Omega.shape), dtype=np.complex128)
-            for t, M in zip(positive, tOmega):
-                np.multiply(t, P.Omega, M)
+            # a few products per time: for one time, cheaper than a broadcast
+            for t, M in zip(positive, W):
+                kq, kl = _border_power(t, q_norm), _border_power(t, ell_norm)
+                np.multiply(t, P.Omega, M[1:-1, 1:-1])
+                np.multiply(math.ldexp(t, -kl), ell_hat, M[0, 1:-1])
+                np.multiply(math.ldexp(t, -kq), q_hat, M[1:-1, -1])
+                powers.append((kq + q_k, kl + ell_k))
             try:
-                Q, p1, p2 = phi12(tOmega, _PHI_TOL)
+                E = linalg.expm(W, _PHI_TOL)
             except _DigitsLost as exc:
                 raise ValueError(f"Q_t at t = {positive[exc.member]!r}: {exc}") from None
-            p1_q, p1_ell, p2_q = p1 @ P.q_star, adj(p1) @ P.ell_star, p2 @ P.q_star
-            for t, Q_t, a, b, c in zip(positive, Q, p1_q, p1_ell, p2_q):
-                q_t, ell_t, q_integral = t * a, t * b, t * t * c
-                expo = P.theta_star * t + pairing(q_integral, P.ell_star)
+            for t, E_t, (kq, kl) in zip(positive, E, powers):
+                q_t = E_t[1:-1, -1] * _pow2(kq)
+                ell_t = np.conj(E_t[0, 1:-1])
+                ell_t *= _pow2(kl)
+                expo = P.theta_star * t + complex(E_t[0, -1]) * _pow2(kq + kl)
                 theta_t = _theta_times_exp(1.0, expo, f"theta_t at t = {t!r}", lambda: 0.0)
-                computed.append(WcSymbol._owned(theta_t, ell_t, Q_t, q_t))
+                computed.append(WcSymbol._owned(theta_t, ell_t, E_t[1:-1, 1:-1], q_t))
     for i, t in enumerate(times):
         if t == 0:
             computed.insert(i, identity_symbol(P.dim))

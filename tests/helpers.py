@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from fockwc import ConjugationParams, SemigroupParams, WcSymbol
-from fockwc.linalg import adj, op_norm
+from fockwc.linalg import adj, op_norm, pairing, phi12
 from fockwc.polynomials import MPoly, mi_factorial, multi_indices
 
 
@@ -148,6 +148,19 @@ def rand_j_semigroup_pair(rng, d, with_b=True, norm_cap=1.0):
     q_star = crandn(rng, d, scale=0.7)
     ell_star = np.conj(A @ q_star) - adj(Omega) @ np.conj(b)
     return SemigroupParams(Omega, q_star, ell_star, crandn(rng, scale=0.5)), J
+
+
+def ref_symbol_at(P, t):
+    """The semigroup symbol at t > 0 by the phi-function formula: one
+    exponential of the 3d x 3d matrix [[t Omega, I, 0], [0, 0, I], [0, 0, 0]]
+    through ``linalg.phi12`` at the semigroup's 1e-13, then
+    q_t = t phi1 q*, l_t = t phi1* l* and the theta_t integral
+    <t^2 phi2 q*, l*>.  Returns (integral, its rounding scale
+    sum_k |t^2 phi2 q*|_k |l*_k|, l_t, Q_t, q_t)."""
+    Q, p1, p2 = phi12(t * P.Omega, 1e-13)
+    u = t * t * (p2 @ P.q_star)
+    scale = float(np.abs(u) @ np.abs(P.ell_star))
+    return pairing(u, P.ell_star), scale, t * (adj(p1) @ P.ell_star), Q, t * (p1 @ P.q_star)
 
 
 def rand_points(rng, d, n, radius=1.5):
