@@ -25,9 +25,10 @@ from one SVD call on their stack, without a warning, and an overflowing
 residual raises ``ValueError`` naming it, as ``"Q - Q*"``.
 
 The exponential scales its input by a power of two, cuts the Taylor series
-at the degree m that the remainder bound picks from ``tol``, evaluates that
-polynomial by Paterson-Stockmeyer in about 2 sqrt(m) matrix products
-instead of m, and squares back.  ``expm`` and ``phi12`` also take a
+at the degree m that the remainder bound picks from ``tol`` (read off a
+table of thresholds built once per ``tol``), evaluates that polynomial by
+Paterson-Stockmeyer in about 2 sqrt(m) matrix products instead of m, and
+squares back.  ``expm`` and ``phi12`` also take a
 stack (k, n, n), such as t Omega on a grid of times, and a single matrix is
 a stack of one.  Each member keeps the scaling power of its own 1-norm;
 all share one degree, the largest of the members' own, so every product is
@@ -59,7 +60,10 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
+import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +81,17 @@ _EXPM_MAX_TERMS = 64
 # leaves no correct digit there, unless e^M rounds to zero outside two
 # nilpotent blocks (``_keeps_digits``)
 _EXPM_MAX_NORM = 2.0 ** 50
+# e^M is finite, with every product on the way to it, for a member of 1-norm
+# at most this: ||e^M||_1 <= e^700 < 2**1010, and each squaring's rounding
+# grows the bound by a factor of at most 1 + n u, over fewer than 4 ||M||_1
+# squarings, so only a stack with a larger member is scanned for overflow
+_EXPM_FINITE_NORM = 700.0
 # e^x rounds to zero for x below this: half the least subnormal is e^-745.13
 _EXP_UNDERFLOW = -746.0
 # Paterson-Stockmeyer tables (q, C) of expm, keyed by the Taylor degree
 _PS_TABLES: dict[int, tuple[int, np.ndarray]] = {}
+# the bits of the double 1/2, the top of ``_degree_table``'s bisections
+_HALF_BITS = 0x3FE0000000000000
 
 # normal_eig: irrational weight of H2 in the first split form H1 + gamma H2
 _HERM_MIX = math.sqrt(2.0) - 1.0
@@ -296,6 +307,34 @@ def _taylor_degree(x: float, tol: float) -> int:
     return _EXPM_MAX_TERMS
 
 
+@functools.lru_cache(maxsize=64)
+def _degree_table(tol: float) -> tuple[float, ...]:
+    """Thresholds T_1 <= ... <= T_{m0-1} of ``_taylor_degree`` on [0, 1/2]
+    for ``tol``, m0 its degree at 1/2: the degree at x is the least m with
+    x <= T_m, and m0 past them all (``bisect_left(table, x) + 1``).  The
+    degree is monotone in x, since every rounded product and quotient of
+    its remainder bound is, so T_m, the largest double with degree at most
+    m, is found by bisection on the bits of non-negative doubles, which
+    order as their values.  Built once per ``tol``."""
+    table = []
+    lo = 0  # the degree at 0 is 1
+    for m in range(1, _taylor_degree(0.5, tol)):
+        hi = _HALF_BITS  # the degree at 1/2 is above m
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _taylor_degree(_bits_to_float(mid), tol) <= m:
+                lo = mid
+            else:
+                hi = mid
+        table.append(_bits_to_float(lo))
+    return tuple(table)
+
+
+def _bits_to_float(bits: int) -> float:
+    """The double whose IEEE 754 bits, as a signed 64-bit integer, are ``bits``."""
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
 def _ps_table(m: int) -> tuple[int, np.ndarray]:
     """Paterson-Stockmeyer split of sum_{k<=m} X^k/k! with q = floor(sqrt m):
     row j of C holds block j = sum_i C_ji X^i, i <= q, with C_ji = 1/(jq+i)!
@@ -317,16 +356,15 @@ def _ps_table(m: int) -> tuple[int, np.ndarray]:
 
 def _as_stack(M) -> tuple[np.ndarray, bool]:
     """``M`` as a complex stack (k, n, n), k >= 1, and whether it was one: a
-    square matrix (``as_matrix``) is a stack of one, and a stack's members
-    are checked as ``as_matrix`` checks one, with its messages."""
+    square matrix (``as_matrix``) is a stack of one.  A stack's entries are
+    not scanned here: ``expm`` finds a non-finite one from the members'
+    1-norms, and names it with ``as_matrix``'s message."""
     arr = _as_complex_array(M, "matrix")
     if arr.ndim != 3:
         return as_matrix(arr)[None], False
     k, n, m = arr.shape
     if not (k and n == m and n):
         raise ValueError("matrix stack must hold non-empty square matrices")
-    if not _all_finite(arr):
-        raise ValueError("matrix contains non-finite entries")
     return arr, True
 
 
@@ -367,6 +405,9 @@ class _DigitsLost(ValueError):
         self.member = member
 
 
+# overflow surfaces as one of the two ValueErrors, never as a warning; the
+# decorator form of errstate enters in half the time of the context manager
+@np.errstate(over="ignore", invalid="ignore")
 def expm(M, tol: float = 1e-14) -> np.ndarray:
     """Matrix exponential by scaling and squaring of a truncated series, of
     a square matrix or of each member of a stack (k, n, n).
@@ -393,48 +434,65 @@ def expm(M, tol: float = 1e-14) -> np.ndarray:
     matrix-vector product for its blocks).  Every product is one matmul on
     the stack; squaring runs on the members, in descending order of scaling
     power, that still need it.  A matrix is a stack of one.  Overflow of the
-    1-norm of a member or of a result raises ``ValueError``, and so does a
-    member of 1-norm at least 2**50, naming it: the rounding of that
-    member's entries alone leaves its exponential no correct digit, unless
-    its non-negligible part is a polynomial in two nilpotent blocks
-    (``_keeps_digits``), as for a t Omega whose exponential rounds to zero.
+    1-norm of a member or of a result raises ``ValueError`` (a result is
+    scanned only where a member's 1-norm exceeds 700: below, e^M is finite
+    by its norm bound), and so does a member of 1-norm at least 2**50,
+    naming it: the rounding of that member's entries alone leaves its
+    exponential no correct digit, unless its non-negligible part is a
+    polynomial in two nilpotent blocks (``_keeps_digits``), as for a
+    t Omega whose exponential rounds to zero.
     """
     stack, stacked = _as_stack(M)
+    k, n = stack.shape[:2]
+    # each member's 1-norm, the reduction np.linalg.norm(M, 1) computes,
+    # without its dispatch: all are finite iff every entry is and no sum
+    # overflows, so only a failing stack is scanned for its entries
+    norms = np.maximum.reduce(np.add.reduce(np.abs(stack), axis=1), axis=1).tolist()
+    if not all(nrm < _EXPM_MAX_NORM for nrm in norms) and not _all_finite(stack):
+        raise ValueError("matrix contains non-finite entries")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    k, n = stack.shape[:2]
-    # overflow surfaces as one of the two ValueErrors, never as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        # each member's s from its 1-norm, the reduction np.linalg.norm(M, 1)
-        # computes, without its dispatch; x is the largest scaled norm
-        s, x = [], 0.0
-        for i, nrm in enumerate(np.abs(stack).sum(axis=1).max(axis=1).tolist()):
+    # each member's s; x is the largest scaled norm
+    s, x = [], 0.0
+    for i, nrm in enumerate(norms):
+        if not nrm < _EXPM_MAX_NORM:
             if not math.isfinite(nrm):
                 raise ValueError("matrix 1-norm is not finite")
-            if nrm >= _EXPM_MAX_NORM and not _keeps_digits(stack[i]):
+            if not _keeps_digits(stack[i]):
                 raise _DigitsLost(nrm, i)
-            s.append(_scaling_power(nrm))
-            # 2**-s stays representable where 2**s overflows (s > 1023)
-            x = max(x, nrm * 2.0 ** -s[-1])
-        # the degree grows with the norm: x gives the largest member degree
-        q, C = _ps_table(_taylor_degree(min(x, 0.5), tol))
-        powers = np.zeros((q + 1, k, n, n), dtype=np.complex128)  # I, X ... X^q
-        powers[0].reshape(k, -1)[:, :: n + 1] = 1.0
-        # X holds the members in descending order of s, so that the members
-        # still squaring are always a prefix
-        order = sorted(range(k), key=s.__getitem__, reverse=True)
-        X = powers[1]
+        s.append(_scaling_power(nrm))
+        # 2**-s stays representable where 2**s overflows (s > 1023)
+        x = max(x, nrm * 2.0 ** -s[-1])
+    # the degree grows with the norm: x gives the largest member degree,
+    # read off the thresholds of _taylor_degree for tol
+    q, C = _ps_table(bisect_left(_degree_table(float(tol)), min(x, 0.5)) + 1)
+    powers = np.zeros((q + 1, k, n, n), dtype=np.complex128)  # I, X ... X^q
+    powers.reshape(q + 1, k, -1)[0, :, :: n + 1] = 1.0
+    # X holds the members in descending order of s, so that the members
+    # still squaring are always a prefix; one s scales them all at once
+    shared = min(s) == max(s)
+    order = range(k) if shared else sorted(range(k), key=s.__getitem__, reverse=True)
+    X = powers[1]
+    if shared:
+        np.multiply(stack, 2.0 ** -s[0], X)
+    else:
         for j, i in enumerate(order):
             np.multiply(stack[i], 2.0 ** -s[i], X[j])
-        for i in range(2, q + 1):
-            np.matmul(powers[i - 1], X, out=powers[i])
-        # every block at once, then Horner's rule in X^q
-        blocks = (C @ powers.reshape(q + 1, -1)).reshape(-1, k, n, n)
-        acc = blocks[-1]
-        for j in range(blocks.shape[0] - 2, -1, -1):
-            acc = acc @ powers[q]
-            acc += blocks[j]
-        # square the prefix up to the next member's s, then set that member aside
+    for i in range(2, q + 1):
+        np.matmul(powers[i - 1], X, out=powers[i])
+    # every block at once, then Horner's rule in X^q
+    blocks = (C @ powers.reshape(q + 1, -1)).reshape(-1, k, n, n)
+    acc = blocks[-1]
+    for j in range(blocks.shape[0] - 2, -1, -1):
+        acc = acc @ powers[q]
+        acc += blocks[j]
+    if shared:  # the whole stack squares s times, and is the result
+        for _ in range(s[0]):
+            acc = acc @ acc
+        out = acc
+    else:
+        # square the prefix up to the next member's s, then set that
+        # member aside
         out = np.empty_like(stack)
         done = 0
         for j in range(k - 1, -1, -1):
@@ -443,7 +501,7 @@ def expm(M, tol: float = 1e-14) -> np.ndarray:
             done = s[order[j]]
             out[order[j]] = acc[j]
             acc = acc[:j]
-    if not _all_finite(out):
+    if max(norms) > _EXPM_FINITE_NORM and not _all_finite(out):
         raise ValueError("matrix exponential is not finite")
     return out if stacked else out[0]
 

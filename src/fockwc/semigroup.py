@@ -100,11 +100,17 @@ def _pow2(k: int) -> float:
         return math.inf
 
 
-def _border_vectors(P: SemigroupParams) -> tuple:
-    """q* and conj(l*), each as (v 2**-k, ||v 2**-k||_1, k) with the largest
-    real or imaginary part of v 2**-k in [1/2, 1): exact down to the
-    subnormal range, and finite where ||v||_1 itself would overflow."""
-    out = []
+def _bordered(P: SemigroupParams) -> tuple:
+    """What the bordered matrices of P share: B, the (d+2) x (d+2) zero
+    matrix with Omega in its middle block, so that t B is W without its
+    borders; and q* and conj(l*), each as (v 2**-k, ||v 2**-k||_1, k) with
+    the largest real or imaginary part of v 2**-k in [1/2, 1): exact down
+    to the subnormal range, and finite where ||v||_1 itself would overflow."""
+    d = P.dim
+    B = np.zeros((d + 2, d + 2), dtype=np.complex128)
+    B[1:-1, 1:-1] = P.Omega
+    B.setflags(write=False)
+    out = [B]
     for v in (P.q_star, np.conj(P.ell_star)):
         k = math.frexp(float(np.abs(v.view(np.float64)).max()))[1]
         v = np.ldexp(v.view(np.float64), -k).view(np.complex128)
@@ -120,6 +126,9 @@ def _border_power(t: float, norm: float) -> int:
     return 0 if m == 0 else et + e + (m != 0.5)
 
 
+# never a warning: an overflowing t Omega is rejected by expm, an overflowing
+# component by name in WcSymbol or in theta_t
+@np.errstate(over="ignore", invalid="ignore")
 def symbols_at(P: SemigroupParams, times) -> list[WcSymbol]:
     """The symbols of the semigroup at each of ``times``, in order.
 
@@ -148,33 +157,27 @@ def symbols_at(P: SemigroupParams, times) -> list[WcSymbol]:
             positive.append(t)
     computed = []
     if positive:
-        (q_hat, q_norm, q_k), (ell_hat, ell_norm, ell_k) = derived(
-            P, "_border_vectors", _border_vectors
-        )
-        d = P.dim
-        W = np.zeros((len(positive), d + 2, d + 2), dtype=np.complex128)
+        B, (q_hat, q_norm, q_k), (ell_hat, ell_norm, ell_k) = derived(P, "_bordered", _bordered)
+        # t B for every time in one product, then two border products per
+        # time: for one time, cheaper than a broadcast
+        W = np.multiply.outer(positive, B)
         powers = []
-        # never a warning: an overflowing t Omega is rejected by expm, an
-        # overflowing component by name in WcSymbol or in theta_t
-        with np.errstate(over="ignore", invalid="ignore"):
-            # a few products per time: for one time, cheaper than a broadcast
-            for t, M in zip(positive, W):
-                kq, kl = _border_power(t, q_norm), _border_power(t, ell_norm)
-                np.multiply(t, P.Omega, M[1:-1, 1:-1])
-                np.multiply(math.ldexp(t, -kl), ell_hat, M[0, 1:-1])
-                np.multiply(math.ldexp(t, -kq), q_hat, M[1:-1, -1])
-                powers.append((kq + q_k, kl + ell_k))
-            try:
-                E = linalg.expm(W, _PHI_TOL)
-            except _DigitsLost as exc:
-                raise ValueError(f"Q_t at t = {positive[exc.member]!r}: {exc}") from None
-            for t, E_t, (kq, kl) in zip(positive, E, powers):
-                q_t = E_t[1:-1, -1] * _pow2(kq)
-                ell_t = np.conj(E_t[0, 1:-1])
-                ell_t *= _pow2(kl)
-                expo = P.theta_star * t + complex(E_t[0, -1]) * _pow2(kq + kl)
-                theta_t = _theta_times_exp(1.0, expo, f"theta_t at t = {t!r}", lambda: 0.0)
-                computed.append(WcSymbol._owned(theta_t, ell_t, E_t[1:-1, 1:-1], q_t))
+        for t, M in zip(positive, W):
+            kq, kl = _border_power(t, q_norm), _border_power(t, ell_norm)
+            np.multiply(math.ldexp(t, -kl), ell_hat, M[0, 1:-1])
+            np.multiply(math.ldexp(t, -kq), q_hat, M[1:-1, -1])
+            powers.append((kq + q_k, kl + ell_k))
+        try:
+            E = linalg.expm(W, _PHI_TOL)
+        except _DigitsLost as exc:
+            raise ValueError(f"Q_t at t = {positive[exc.member]!r}: {exc}") from None
+        for t, E_t, (kq, kl) in zip(positive, E, powers):
+            q_t = E_t[1:-1, -1] * _pow2(kq)
+            ell_t = np.conj(E_t[0, 1:-1])
+            ell_t *= _pow2(kl)
+            expo = P.theta_star * t + complex(E_t[0, -1]) * _pow2(kq + kl)
+            theta_t = _theta_times_exp(1.0, expo, f"theta_t at t = {t!r}", lambda: 0.0)
+            computed.append(WcSymbol._owned(theta_t, ell_t, E_t[1:-1, 1:-1], q_t))
     for i, t in enumerate(times):
         if t == 0:
             computed.insert(i, identity_symbol(P.dim))
@@ -189,11 +192,16 @@ def validate_J_conditions(
         (A Omega)^t = A Omega,
         Omega* l* = conj(A Omega q*) - (Omega*)^2 conj(b).
 
-    The verdict uses exactly those two residuals.  A third diagnostic,
+    The verdict checks exactly those two displayed conditions, so it decides
+    J-selfadjointness only for invertible Omega.  A third diagnostic,
     "first_order", reports || l* - conj(A q*) + Omega* conj(b) ||: it is the
-    first t-derivative of the selfadjointness identity, implies the second
-    condition, and is the one that remains binding when Omega is singular
-    (for invertible Omega the two are equivalent).  J is validated at ``tol``.
+    first t-derivative of the selfadjointness identity, and once
+    (A Omega)^t = A Omega holds the second condition is Omega* times it, so
+    for invertible Omega the two are equivalent.  It is not part of the
+    verdict: for singular Omega the verdict can be True for a family that is
+    not J-selfadjoint, as Omega = diag(1, 0), q* = (0.2, 0.3),
+    l* = (0.2, 0.9) under ``identity_conjugation(2)``, where "first_order"
+    is 0.6.  J is validated at ``tol``.
     """
     require_valid(J, tol)
     if P.dim != J.dim:
@@ -281,9 +289,10 @@ def generator_fd_residual(P: SemigroupParams, f: MPoly, h: float) -> float:
     T = trunc_symbol_matrix(symbol_at(P, h), N)
     v = poly_coeff_vector(f, N)
     g = poly_coeff_vector(generator_apply(P, f), N)
-    mask = _tables(P.dim, N).degree < N
+    # the coefficients of degree < N: a prefix of the graded order
+    rows = _tables(P.dim, N).graded_end[N]
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = float(np.linalg.norm(((T.apply(v) - v) / h - g)[mask]))
+        resid = float(np.linalg.norm(((T.apply(v) - v) / h - g)[:rows]))
     if not math.isfinite(resid):
         raise ValueError("generator forward-difference residual is not finite")
     return resid

@@ -160,6 +160,9 @@ def act_on_kernel(S: WcSymbol, w) -> ScaledKernel:
     return owned(ScaledKernel, coeff=coeff, point=points[0])
 
 
+# an overflowing component is rejected by name in WcSymbol, not warned; the
+# decorator form of errstate enters in half the time of the context manager
+@np.errstate(over="ignore", invalid="ignore")
 def compose(S1: WcSymbol, S2: WcSymbol) -> WcSymbol:
     """Symbol of the operator product C_{S1} C_{S2}.
 
@@ -173,11 +176,7 @@ def compose(S1: WcSymbol, S2: WcSymbol) -> WcSymbol:
     expo = pairing(S1.q, S2.ell)
     theta = _theta_times_exp(S1.theta * S2.theta, expo, "theta of the composition",
                              lambda: cmath.log(S1.theta) + cmath.log(S2.theta))
-    # an overflowing component is rejected by name in WcSymbol, not warned
-    with np.errstate(over="ignore", invalid="ignore"):
-        return WcSymbol._owned(
-            theta, S1.ell + adj(S1.Q) @ S2.ell, S2.Q @ S1.Q, S2.Q @ S1.q + S2.q
-        )
+    return WcSymbol._owned(theta, S1.ell + adj(S1.Q) @ S2.ell, S2.Q @ S1.Q, S2.Q @ S1.q + S2.q)
 
 
 def adjoint_symbol(S: WcSymbol) -> WcSymbol:
@@ -218,19 +217,24 @@ def _modulus(z: complex) -> float:
         return math.inf
 
 
+def _entries(S: WcSymbol) -> np.ndarray:
+    """ell, Q and q of a symbol as one flat array, Q row by row: one
+    reduction over it gives the largest entry of all three."""
+    return np.concatenate((S.ell, S.Q, S.q), axis=None)
+
+
+# an overflowing difference is inf, never a warning
+@np.errstate(over="ignore", invalid="ignore")
 def symbol_distance(S1: WcSymbol, S2: WcSymbol) -> float:
     """Largest componentwise deviation between two symbols; ``inf`` where one overflows."""
     if S1.dim != S2.dim:
         raise ValueError("symbols have different dimensions")
-    pairs = ((S1.ell, S2.ell), (S1.Q, S2.Q), (S1.q, S2.q))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return max(_modulus(S1.theta - S2.theta), *(float(np.abs(a - b).max()) for a, b in pairs))
+    return max(_modulus(S1.theta - S2.theta), float(np.abs(_entries(S1) - _entries(S2)).max()))
 
 
 def _magnitude(S: WcSymbol) -> float:
     """Largest componentwise modulus of a symbol; ``inf`` where one overflows."""
-    return max(_modulus(S.theta), float(np.abs(S.ell).max()), float(np.abs(S.Q).max()),
-               float(np.abs(S.q).max()))
+    return max(_modulus(S.theta), float(np.abs(_entries(S)).max()))
 
 
 def symbols_equal(S1: WcSymbol, S2: WcSymbol, tol: float = 1e-10) -> bool:
