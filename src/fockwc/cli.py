@@ -5,10 +5,13 @@ exactly one JSON document to standard output; diagnostics go to standard
 error.  Exit codes, set by ``run`` from the document's verdict alone: 0 for
 "true" (a positive verdict or successful transformation), 1 for any other
 verdict (negative, indeterminate or not applicable), 2 for malformed input
-or a violated precondition.  Overflow follows the library's rule: a payload or
-a matrix residual that overflows is a ``ValueError`` naming the quantity
-(exit 2); a vector residual that overflows is inf or NaN, fails its verdict
-and is written as null (exit 1).
+or a violated precondition, each a ``ValueError`` (``errors``).  Each
+subcommand is one row of ``_COMMANDS``, with exactly the options its
+handler reads: ``adjoint``, ``semigroup-at`` and ``generator-apply``
+decide nothing, so they take no ``--tol``.  Overflow follows the
+library's rule: a payload or a matrix residual that overflows is a
+``ValueError`` naming the quantity (exit 2); a vector residual that
+overflows is inf or NaN, fails its verdict and is written as null (exit 1).
 
 Verdicts are tri-state around the tolerance: residuals at most ``tol``
 pass, residuals in (tol, 10 tol] are reported as "indeterminate" (still
@@ -34,7 +37,7 @@ from . import jsonio
 from . import oracle as _oracle
 from . import semigroup as _sg
 from . import symbols as _sym
-from .errors import DegreeCapError, NotApplicableError
+from .errors import NotApplicableError
 from .linalg import DEFAULT_TOL, residuals_within
 from .polynomials import MPoly
 
@@ -210,6 +213,40 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+_FILE = {"required": True, "metavar": "FILE"}
+_IN = ("--in", {"dest": "infile", **_FILE})
+_TOL = ("--tol", {"type": _tolerance, "default": DEFAULT_TOL})
+_CONJ = ("--conj", {"metavar": "FILE", "default": None})
+
+# each subcommand once: its handler, its help and exactly the options that
+# the handler reads, as (flag, add_argument keywords) in --help order
+_COMMANDS = {
+    "validate-conjugation": (
+        _cmd_validate_conjugation, "check the three conjugation admissibility conditions",
+        _IN, _TOL),
+    "classify": (
+        _cmd_classify, "symmetry-class verdicts for a symbol",
+        _IN, _TOL, ("--with-conjugation", {"metavar": "FILE", "default": None})),
+    "adjoint": (_cmd_adjoint, "adjoint symbol", _IN),
+    "conjugate": (_cmd_conjugate, "symbol of J C J", _IN, _TOL, ("--conj", _FILE)),
+    "find-conjugation": (
+        _cmd_find_conjugation, "construct a conjugation making the operator J-selfadjoint",
+        _IN, _TOL, ("--mode", {"choices": ["real", "normal", "auto"], "default": "auto"})),
+    "semigroup-at": (
+        _cmd_semigroup_at, "semigroup symbol at time t",
+        _IN, ("--t", {"type": float, "required": True})),
+    "semigroup-check": (
+        _cmd_semigroup_check, "sampled semigroup-law and selfadjointness defects",
+        _IN, _TOL, _CONJ, ("--samples", {"type": int, "default": 20}),
+        ("--seed", {"type": int, "default": 0})),
+    "generator-apply": (
+        _cmd_generator_apply, "apply the generator to a polynomial", _IN, ("--poly", _FILE)),
+    "oracle-defect": (
+        _cmd_oracle_defect, "kernel-span adjoint and J-symmetry defects",
+        _IN, _TOL, _CONJ, ("--points", _FILE)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fockwc",
@@ -220,58 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    for name, (func, help_text, *options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-        return p
-
-    add(
-        "validate-conjugation",
-        _cmd_validate_conjugation,
-        "check the three conjugation admissibility conditions",
-    )
-
-    p = add("classify", _cmd_classify, "symmetry-class verdicts for a symbol")
-    p.add_argument("--with-conjugation", metavar="FILE", default=None)
-
-    add("adjoint", _cmd_adjoint, "adjoint symbol")
-
-    p = add("conjugate", _cmd_conjugate, "symbol of J C J")
-    p.add_argument("--conj", required=True, metavar="FILE")
-
-    p = add(
-        "find-conjugation",
-        _cmd_find_conjugation,
-        "construct a conjugation making the operator J-selfadjoint",
-    )
-    p.add_argument("--mode", choices=["real", "normal", "auto"], default="auto")
-
-    p = add("semigroup-at", _cmd_semigroup_at, "semigroup symbol at time t")
-    p.add_argument("--t", type=float, required=True)
-
-    p = add(
-        "semigroup-check",
-        _cmd_semigroup_check,
-        "sampled semigroup-law and selfadjointness defects",
-    )
-    p.add_argument("--conj", metavar="FILE", default=None)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("generator-apply", _cmd_generator_apply, "apply the generator to a polynomial")
-    p.add_argument("--poly", required=True, metavar="FILE")
-
-    p = add(
-        "oracle-defect",
-        _cmd_oracle_defect,
-        "kernel-span adjoint and J-symmetry defects",
-    )
-    p.add_argument("--conj", metavar="FILE", default=None)
-    p.add_argument("--points", required=True, metavar="FILE")
-
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -284,7 +274,7 @@ def run(argv=None) -> int:
     try:
         doc = args.func(args)
         text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    except (ValueError, DegreeCapError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text)

@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
 Plain ``ValueError`` is raised for malformed arguments (wrong shapes,
-non-finite entries, bad tolerances).  The classes below distinguish the
-two failure modes the command line front end maps to its own exit codes.
+non-finite entries, bad tolerances).  The classes below are all
+``ValueError``s too, so every refused input is one: the command line front
+end exits 2 on each, except that a ``NotApplicableError`` from a
+conjugation finder is its verdict "n/a" (exit 1).
 """
 
 __all__ = ["PreconditionError", "NotApplicableError", "DegreeCapError"]
@@ -16,5 +18,5 @@ class NotApplicableError(PreconditionError):
     """A constructive procedure was invoked outside the class it serves."""
 
 
-class DegreeCapError(RuntimeError):
+class DegreeCapError(PreconditionError):
     """Requested truncation degree exceeds the configured cap."""

@@ -42,8 +42,7 @@ is a member that, in the order (N1, D, N2), is block upper triangular with
 e^(M_DD) below the least subnormal and M_N1N1, M_N2N2 strictly upper
 triangular, as the bordered matrix [[0, t l*^H, 0], [0, t Omega, t q*],
 [0, 0, 0]] is for a t Omega whose exponential rounds to zero.  The
-semigroups read their symbols off that bordered matrix, so ``phi12`` is
-no longer on their path.
+semigroups read their symbols off that bordered matrix.
 
 NumPy is the only dependency.  ``herm_eig`` decomposes H1 = (M + M*)/2.
 Normal matrices are diagonalized through their commuting Hermitian parts H1

@@ -30,11 +30,11 @@ the same floating-point operations, so they agree bit for bit.  A row
 bound m builds only the rows of degree <= m (a prefix in graded order) and
 gets those rows of the full section exactly; ``cross_check`` builds only
 the rows of degree <= N/2 that it compares.  It builds them in a
-per-thread workspace, which keeps the work array, the float ratio
-sqrt(gamma!/alpha!) and the block, grown to the largest block the thread
-has needed: 4.8 MiB at (d, N) = (4, 10), at most 50.8 MiB at the caps
-(3, 24).  A warm ``cross_check`` so touches no fresh pages.  Every other
-section is a fresh array.
+per-thread workspace, which keeps two buffers, the work array and the
+block, grown to the largest block the thread has needed: 3.85 MiB at
+(d, N) = (4, 10), at most 40.6 MiB at the caps (3, 24).  A warm
+``cross_check`` so touches no fresh pages.  Every other section is a fresh
+array.
 """
 
 from __future__ import annotations
@@ -367,17 +367,16 @@ def _monomials(w: np.ndarray, tab: _IndexTables, rows: int) -> np.ndarray:
     return np.prod(np.power(w[None, :], tab.alpha[:rows]), axis=1)
 
 
-# dtype and memory order of a section build's work array, its ratio
-# sqrt(gamma!/alpha!) and its block; the block's C order fixes the bits of
-# ``block @ vector``
-_SECTION_LAYOUT = ((np.complex128, "F"), (np.float64, "C"), (np.complex128, "C"))
+# dtype and memory order of a section build's work array and its block;
+# the block's C order fixes the bits of ``block @ vector``
+_SECTION_LAYOUT = ((np.complex128, "F"), (np.complex128, "C"))
 
 
 class _Workspace(threading.local):
-    """One thread's flat buffers for ``cross_check``'s section blocks: the
-    work array, the ratio and the block, grown together to the largest
-    block the thread has needed and kept for the life of the thread, so a
-    warm build touches no fresh pages."""
+    """One thread's two flat buffers for ``cross_check``'s section blocks,
+    the work array and the block (3.85 MiB at (d, N) = (4, 10)), grown
+    together to the largest block the thread has needed and kept for the
+    life of the thread, so a warm build touches no fresh pages."""
 
     def __init__(self):
         self.buffers: list[np.ndarray] = []
@@ -421,10 +420,10 @@ def _wc_section(c0: complex, wvec: np.ndarray, B: np.ndarray,
 
 
 def _build_section(c0: complex, wvec: np.ndarray, B: np.ndarray, beta: np.ndarray,
-                   tab: _IndexTables, m: int, raw: np.ndarray, ratio: np.ndarray,
-                   block: np.ndarray) -> np.ndarray:
+                   tab: _IndexTables, m: int, raw: np.ndarray, block: np.ndarray) -> np.ndarray:
     """The rows of degree <= m of ``_wc_section``, built in the work array
-    ``raw`` and the ``ratio``, and returned as ``block`` (``_SECTION_LAYOUT``).
+    ``raw`` and returned as ``block`` (``_SECTION_LAYOUT``), which first holds
+    the ratio sqrt(gamma!/alpha!): NumPy casts a float factor to complex anyway.
 
     The columns of degree g and first axis k form one run whose parents are
     one run of degree g - 1, so with at most ``LAYERED_MAX_ROWS`` rows each
@@ -455,8 +454,8 @@ def _build_section(c0: complex, wvec: np.ndarray, B: np.ndarray, beta: np.ndarra
                 np.multiply(beta[k], v, out=out)
                 for dest, b in terms[k]:
                     out[dest] += b * v[:n_src]
-            np.divide(tab.sqrt_fact[:n_rows, None], tab.sqrt_fact[None, :], out=ratio)
-            return np.multiply(raw, ratio, out=block)
+            np.divide(tab.sqrt_fact[:n_rows, None], tab.sqrt_fact[None, :], out=block)
+            return np.multiply(raw, block, out=block)
     except FloatingPointError:
         raise ValueError("truncated section is not finite") from None
 
@@ -588,7 +587,7 @@ def cross_check(S: WcSymbol, w, N: int, tol: float = 1e-8) -> float:
         )
     arrays = _WORKSPACE.arrays((n_rows, len(tab.indices)))
     block = _build_section(S.theta, np.conj(S.ell), S.Q, S.q, tab, m, *arrays)
-    lhs = block @ kernel_coeff_vector(w, N)
+    lhs = block @ _kernel_coeffs(w, tab, len(tab.indices))  # w is checked above
     img = act_on_kernel(S, w)
     rhs = img.coeff * _kernel_coeffs(img.point, tab, n_rows)
     return float(np.linalg.norm(lhs - rhs))

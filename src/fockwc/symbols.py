@@ -11,9 +11,10 @@ acts on reproducing kernels K_w(u) = e^{<u, w>} by
 
     C K_w = theta * e^{<q, w>} * K_{Q* w + ell},
 
-which makes the whole calculus (products, adjoints, unitary similarity)
-exact arithmetic on the four components.  All operations return new
-values; symbols are immutable.  The operations build their results by
+which makes the whole calculus (products and adjoints; a unitary
+similarity is a product with two unitary symbols) exact arithmetic on the
+four components.  All operations return new values; symbols are
+immutable.  The operations build their results by
 ``WcSymbol._owned`` (``linalg.owned``), without the public constructor's
 coercion and copy but with its checks on theta and on finiteness.  A new
 theta that underflows to zero raises a ``ValueError`` that names it.
@@ -28,10 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import COMPLEX, MATRIX, VECTOR, Record
-from .errors import PreconditionError
-from .linalg import (
-    _residual_norms, adj, as_matrix, as_scalar, as_vector, fields_equal, freeze, owned, pairing,
-)
+from .linalg import adj, as_scalar, as_vector, fields_equal, freeze, owned, pairing
 
 __all__ = [
     "WcSymbol",
@@ -191,22 +189,6 @@ def adjoint_symbol(S: WcSymbol) -> WcSymbol:
 def negate_theta(S: WcSymbol) -> WcSymbol:
     """Same symbol with the weight scalar negated (for skew symmetry tests)."""
     return WcSymbol._owned(-S.theta, S.ell, S.Q, S.q)
-
-
-def unitary_similarity(S: WcSymbol, U, V) -> WcSymbol:
-    """Conjugated symbol under C_S = C_U C_{S~} C_V with unitary U, V.
-
-    S~ = (theta, U ell, V* Q U*, V* q); the inverse transform is the same map
-    with (U*, V*).  Raises ``PreconditionError`` unless U and V are unitary
-    to within 1e-10.
-    """
-    U = as_matrix(U, S.dim, "U")
-    V = as_matrix(V, S.dim, "V")
-    for name, W in (("U", U), ("V", V)):
-        defect = max(_residual_norms(W, name, "X X* - I", "X* X - I"))
-        if not defect <= 1e-10:
-            raise PreconditionError(f"{name} is not unitary (defect {defect:.2e})")
-    return WcSymbol._owned(S.theta, U @ S.ell, adj(V) @ S.Q @ adj(U), adj(V) @ S.q)
 
 
 def _modulus(z: complex) -> float:

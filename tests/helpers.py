@@ -235,6 +235,29 @@ def ref_j_symmetry_defect(S, J, points):
     return float(np.max(np.abs(B - B.T))) / (1.0 + float(np.max(np.abs(B))))
 
 
+def generator_j_asymmetry(P, J, Z):
+    """Relative asymmetry max|F - F^t| / (1 + max|F|) of the generator's
+    J-form on the kernels at the rows z_i of ``Z``: F[i, j] =
+    <G K_{z_i}, J K_{z_j}>, symmetric when G is J-symmetric on their span.
+
+    Since d_k K_z = conj(z_k) K_z, (G K_z)(x) = (theta* + <x, l*> +
+    <Omega x + q*, z>) e^{<x, z>}, and J K_w = theta_J e^{a} K_p with
+    (a, p) = ``act_on_kernels(symbol_of(J), conj(w))``, so F[i, j] =
+    conj(theta_J e^{a_j}) (G K_{z_i})(p_j).  It reads neither ``symbol_at``
+    nor ``validate_J_conditions``."""
+    from fockwc.conjugation import symbol_of
+    from fockwc.symbols import act_on_kernels
+
+    Z = np.asarray(Z, dtype=complex)
+    S_J = symbol_of(J)
+    a, p = act_on_kernels(S_J, np.conj(Z))
+    # G[j, i] = (G K_{z_i})(p_j)
+    G = (P.theta_star + (p @ np.conj(P.ell_star))[:, None]
+         + (p @ P.Omega.T + P.q_star) @ np.conj(Z).T) * np.exp(p @ np.conj(Z).T)
+    F = G.T * np.conj(S_J.theta * np.exp(a))[None, :]
+    return float(np.max(np.abs(F - F.T))) / (1.0 + float(np.max(np.abs(F))))
+
+
 def ref_conjugation_kernels(J, W):
     """J K_{w_i} = c e^{expo_i} K_{points_i} for the rows w_i of ``W`` by the
     written-out formula: expo = W b and points = conj(W) conj(A) + conj(b)."""

@@ -69,8 +69,6 @@ ERRORS = {
                                                 0), 0.27),
         "Q_t at t = 0.27: matrix 1-norm 2.700e+15 is at least 2**50: "
         "its exponential has no correct digits"),
-    "unitary_similarity_overflow": (lambda: fw.symbols.unitary_similarity(S1, [[1e200]], [[1]]),
-                                    "U U* - I contains non-finite entries"),
     "matrix_from_json_ragged": (lambda: jsonio.matrix_from_json([[[1, 0], [2, 0]], [[3, 0]]]),
                                 "matrix must be square, row-major"),
     "WcSymbol_string_theta": (lambda: fw.WcSymbol("x", [1], [[1]], [0]),

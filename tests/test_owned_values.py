@@ -33,7 +33,7 @@ from fockwc import (
     symbol_at,
 )
 from fockwc.conjugation import apply_to_kernel
-from fockwc.symbols import ScaledKernel, identity_symbol, unitary_similarity
+from fockwc.symbols import ScaledKernel, identity_symbol
 from fockwc import classify, conjugation
 from fockwc.linalg import _residual_norms, op_norm, owned
 from helpers import (
@@ -65,7 +65,9 @@ def _library_values(seed: int, d: int) -> list:
         adjoint_symbol(S),
         negate_theta(S),
         identity_symbol(d),
-        unitary_similarity(S, U, V),
+        # a unitary similarity of S is a product with two unitary symbols
+        compose(compose(WcSymbol(1.0, np.zeros(d), U, np.zeros(d)), S),
+                WcSymbol(1.0, np.zeros(d), V, np.zeros(d))),
         conjugate_by_J(S, J),
         find_conjugation_real_symmetric(rand_real_symmetric_symbol(rng, d)),
         find_conjugation_normal(rand_normal_bounded_symbol(rng, d, with_fixed_eig=True)),

@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fockwc import (
-    PreconditionError,
     WcSymbol,
     act_on_kernel,
     adjoint_symbol,
@@ -14,8 +13,8 @@ from fockwc import (
     symbol_distance,
     symbols_equal,
 )
-from fockwc.symbols import identity_symbol, unitary_similarity
-from helpers import crandn, rand_symbol, rand_unitary
+from fockwc.symbols import identity_symbol
+from helpers import crandn, rand_symbol
 
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 cnum = st.builds(complex, finite, finite)
@@ -172,45 +171,6 @@ def test_compose_associativity(S1, S2, S3):
     lhs = compose(compose(S1, S2), S3)
     rhs = compose(S1, compose(S2, S3))
     assert symbols_equal(lhs, rhs, 1e-10)
-
-
-def test_unitary_similarity_identity():
-    rng = np.random.default_rng(15)
-    S = rand_symbol(rng, 3)
-    assert symbols_equal(unitary_similarity(S, np.eye(3), np.eye(3)), S, 1e-14)
-
-
-def test_unitary_similarity_scalar_example():
-    # For U = V = [i] the transform formula gives (1, i, -2, -i); verified
-    # below by the compose-chain identity C_S = C_U C_tilde C_V.
-    S = WcSymbol(1.0, [1.0], [[2.0]], [1.0])
-    St = unitary_similarity(S, [[1j]], [[1j]])
-    assert symbol_distance(St, WcSymbol(1.0, [1j], [[-2.0]], [-1j])) < 1e-15
-
-
-def _matrix_symbol(U):
-    d = U.shape[0]
-    return WcSymbol(1.0, np.zeros(d), U, np.zeros(d))
-
-
-def test_unitary_similarity_compose_chain():
-    rng = np.random.default_rng(16)
-    for _ in range(20):
-        d = int(rng.integers(1, 4))
-        S = rand_symbol(rng, d)
-        U, V = rand_unitary(rng, d), rand_unitary(rng, d)
-        St = unitary_similarity(S, U, V)
-        chain = compose(compose(_matrix_symbol(U), St), _matrix_symbol(V))
-        assert symbols_equal(chain, S, 1e-10)
-        # inverse form of the similarity returns S
-        back = unitary_similarity(St, np.conj(U).T, np.conj(V).T)
-        assert symbols_equal(back, S, 1e-10)
-
-
-def test_unitary_similarity_rejects_non_unitary():
-    S = identity_symbol(2)
-    with pytest.raises(PreconditionError):
-        unitary_similarity(S, np.eye(2) * 2.0, np.eye(2))
 
 
 def test_symbols_equal_threshold():
