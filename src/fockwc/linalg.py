@@ -572,7 +572,8 @@ def herm_eig(M) -> SpectralDecomposition:
         raise ValueError("eigenvalues of (M + M*)/2 are not finite")
     cuts = _cuts(w, _default_group_tol(max(-w[0], w[-1])))
     groups = tuple(tuple(range(lo, hi)) for lo, hi in zip(cuts, cuts[1:]))
-    return SpectralDecomposition(V, w.astype(np.complex128), groups)
+    return owned(SpectralDecomposition, unitary=V, eigenvalues=w.astype(np.complex128),
+                 groups=groups)
 
 
 def _eigenvalue_groups(eigs: np.ndarray, gtol: float) -> tuple[list[int], tuple]:
@@ -696,7 +697,7 @@ def normal_eig(M) -> SpectralDecomposition:
             f"normal_eig: V* M V is off-diagonal by {off:.3e}; no unitary diagonalization found"
         )
     perm, groups = _eigenvalue_groups(eigs, gtol)
-    return SpectralDecomposition(V[:, perm], eigs[perm], groups)
+    return owned(SpectralDecomposition, unitary=V[:, perm], eigenvalues=eigs[perm], groups=groups)
 
 
 # default tolerance of every verdict: the classifiers, conjugation validity

@@ -8,9 +8,11 @@ conjugating them, so each kernel-span quantity is one Gram matrix exp(E) of
 an exponent matrix E.  A ``KernelCombo`` is two frozen arrays, coefficients
 and kernel points, so ``apply_symbol`` and ``apply_conjugation`` are one
 batch call each.  A defect checks its point set once, as one finite (m, d)
-array.  The defects are ratios: both sides share one shift e^{-c} that
-keeps every entry at most 1, so they stay finite wherever E is, far past
-|<q, w>| = 709 where e^{<q, w>} alone overflows.  The two sides of the
+array.  The defects are ratios: ``_scaled`` gives both sides one shift
+e^{-c} that keeps every entry at most 1, so they stay finite wherever E is,
+far past |<q, w>| = 709 where e^{<q, w>} alone overflows, after an exact
+power of two brings a coefficient far from 1 (a subnormal theta, or one
+whose modulus overflows) near it.  The two sides of the
 J-symmetry form are one Gram matrix and its transpose, so that defect
 takes one exponential.  Engine two
 builds finite sections of the operators on the orthonormal monomial basis
@@ -89,8 +91,9 @@ LAYERED_MAX_ROWS = 900
 class KernelCombo:
     """Finite linear combination of reproducing kernels, sum_i c_i K_{z_i},
     held as two frozen arrays, ``coeffs`` (m,) and ``points`` (m, d), checked
-    once here; m = 0 is the zero function.  Arithmetic on them never warns:
-    an overflowing coefficient fails that check, which names it."""
+    once here; m = 0 is the zero function.  Its own results are built by
+    ``linalg.owned``.  Arithmetic on them never warns: an overflowing
+    coefficient fails the check, which names it."""
 
     dim: int
     coeffs: np.ndarray
@@ -119,22 +122,25 @@ class KernelCombo:
             raise ValueError("dimension must be positive")
         pairs = list(pairs)
         coeffs = np.array([as_scalar(c, "coeff") for c, _ in pairs], dtype=np.complex128)
-        points = [as_vector(p, dim, "point") for _, p in pairs]  # each of length dim
-        return cls(dim, coeffs, np.reshape(points, (len(pairs), dim)))  # (0, d) at m = 0
+        points = np.array([as_vector(p, dim, "point") for _, p in pairs], dtype=np.complex128)
+        return owned(cls, dim=dim, coeffs=coeffs, points=points.reshape(-1, dim))  # m = 0: (0, d)
 
     @property
     def terms(self) -> tuple[ScaledKernel, ...]:
-        return tuple(ScaledKernel(c, p) for c, p in zip(self.coeffs, self.points))
+        pairs = zip(self.coeffs, self.points)
+        return tuple(owned(ScaledKernel, coeff=c, point=p) for c, p in pairs)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def scale(self, a) -> "KernelCombo":
-        with np.errstate(over="ignore", invalid="ignore"):
-            return KernelCombo(self.dim, complex(a) * self.coeffs, self.points)
+        coeffs = complex(a) * self.coeffs
+        return owned(KernelCombo, dim=self.dim, coeffs=coeffs, points=self.points)
 
     def __add__(self, other: "KernelCombo") -> "KernelCombo":
         if self.dim != other.dim:
             raise ValueError("kernel combo dimensions differ")
         coeffs = np.concatenate([self.coeffs, other.coeffs])
-        return KernelCombo(self.dim, coeffs, np.concatenate([self.points, other.points]))
+        return owned(KernelCombo, dim=self.dim, coeffs=coeffs,
+                     points=np.concatenate([self.points, other.points]))
 
     def __sub__(self, other: "KernelCombo") -> "KernelCombo":
         return self + other.scale(-1.0)
@@ -226,14 +232,30 @@ def _stack_points(points, dim: int) -> np.ndarray:
     return np.array(pts)
 
 
-def _shift(*sides) -> float:
-    """c = max(0, max Re E + log|coeff|) over the sides coeff exp(E)."""
-    return max(0.0, *(float(E.real.max()) + math.log(abs(coeff)) for coeff, E in sides))
+# an exponent far below c gives -inf, whose exp is 0
+@np.errstate(over="ignore")
+def _scaled(*sides) -> tuple[list, float]:
+    """Each side coeff exp(E) times e^{-c}, c = max(0, max Re E + log|coeff|)
+    over all sides, and c: no entry exceeds 1.  A coeff outside
+    [2^-900, 2^900] is first scaled by the exact 2^-k, k the exponent of its
+    larger part, and k log 2 joins its exponents, so that no exp overflows
+    before the product."""
+    terms = []
+    for coeff, E in sides:
+        k = 0
+        big = max(abs(coeff.real), abs(coeff.imag))
+        if not 2.0 ** -900 <= big <= 2.0 ** 900:
+            k = math.frexp(big)[1]
+            coeff = complex(math.ldexp(coeff.real, -k), math.ldexp(coeff.imag, -k))
+        terms.append((coeff, E, k * math.log(2.0)))
+    c = max(0.0, *(float(E.real.max()) + log2k + math.log(abs(coeff))
+                   for coeff, E, log2k in terms))
+    return [coeff * np.exp(E - (c - log2k)) for coeff, E, log2k in terms], c
 
 
 def _relative_defect(lhs, rhs, c: float) -> float:
     """max|lhs - rhs| / (1 + max|lhs|) for two sides given times e^{-c}
-    (``_shift``), evaluated as max|lhs' - rhs'| / (e^{-c} + max|lhs'|).
+    (``_scaled``), evaluated as max|lhs' - rhs'| / (e^{-c} + max|lhs'|).
     No entry then exceeds 1, so exponents past exp's overflow (709) are fine.
     """
     worst = float(np.max(np.abs(lhs - rhs)))
@@ -256,12 +278,10 @@ def pairing_defect(S: WcSymbol, T: WcSymbol, points) -> float:
     Z = _stack_points(points, S.dim)
     a_S, P_S = act_on_kernels(S, Z)
     a_T, P_T = act_on_kernels(T, Z)
-    sides = (
+    (lhs, rhs), c = _scaled(
         (S.theta, _log_gram(a_S, P_S, 0.0, Z)),
         (np.conj(T.theta), _log_gram(0.0, Z, a_T, P_T)),
     )
-    c = _shift(*sides)
-    lhs, rhs = (coeff * np.exp(E - c) for coeff, E in sides)
     return _relative_defect(lhs, rhs, c)
 
 
@@ -291,8 +311,7 @@ def j_symmetry_defect(S: WcSymbol, J: ConjugationParams, points,
         log_mag = math.log(abs(S.theta)) + math.log(abs(S_J.theta))
         raise ValueError(f"theta * conj(c) underflows to zero: log-magnitude {log_mag:.6g}")
     # the other side, coeff exp(E^t), is this one's transpose, entry for entry
-    c = _shift((coeff, E))
-    lhs = coeff * np.exp(E - c)
+    (lhs,), c = _scaled((coeff, E))
     return _relative_defect(lhs, lhs.T, c)
 
 
@@ -490,6 +509,7 @@ def trunc_symbol_matrix(S: WcSymbol, N: int) -> TruncOp:
     """Section of C_S: entry (beta, alpha) is
     sqrt(beta!/alpha!) [z^beta](theta e^{<z,ell>} (Qz+q)^alpha)."""
     mat = _wc_section(S.theta, np.conj(S.ell), S.Q, S.q, N)
+    mat.setflags(write=False)  # fresh, and finite: _build_section traps overflow
     return TruncOp(S.dim, N, mat)
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import COMPLEX, MATRIX, VECTOR, Record
-from .linalg import adj, as_scalar, as_vector, fields_equal, freeze, owned, pairing
+from .linalg import adj, as_scalar, as_vector, owned, pairing
 
 __all__ = [
     "WcSymbol",
@@ -80,21 +80,13 @@ _THETA = (*COMPLEX[:2], lambda z, d, name: _nonzero(as_scalar(z, name)))
 
 
 @dataclass(frozen=True, eq=False)
-class ScaledKernel:
+class ScaledKernel(Record):
     """A scalar multiple of one reproducing kernel: coeff * K_point."""
 
     coeff: complex
     point: np.ndarray
 
-    __eq__ = fields_equal
-
-    def __post_init__(self):
-        coeff = as_scalar(self.coeff, "coeff")
-        freeze(self, coeff=coeff, point=as_vector(self.point, name="point"))
-
-    @property
-    def dim(self) -> int:
-        return self.point.size
+    _JSON = ("kernel", {"coeff": COMPLEX, "point": VECTOR})
 
     def __call__(self, x) -> complex:
         """Evaluate coeff * K_point at x, i.e. coeff * e^{<x, point>}."""

@@ -48,8 +48,8 @@ from helpers import (
 )
 
 
-def _library_values(seed: int, d: int) -> list:
-    """One value of each kind that the library builds by the owned path."""
+def _library_values(seed: int, d: int) -> dict:
+    """One value of each kind that the library builds by the owned path, by label."""
     rng = np.random.default_rng(seed)
     S, T = rand_symbol(rng, d), rand_symbol(rng, d)
     J = rand_valid_conjugation(rng, d)
@@ -59,32 +59,63 @@ def _library_values(seed: int, d: int) -> list:
     f = MPoly(d, {(1,) + (0,) * (d - 1): 1.0 - 0.5j, (0,) * (d - 1) + (2,): 0.25j})
     g = MPoly(d, {(0,) * d: 2.0, (1,) * d: -1.0 + 1j})
     w = crandn(rng, d, scale=0.5)
-    return [
-        symbol_at(P, 0.7),
-        compose(S, T),
-        adjoint_symbol(S),
-        negate_theta(S),
-        identity_symbol(d),
+    values = {
+        "symbol_at": symbol_at(P, 0.7),
+        "compose": compose(S, T),
+        "adjoint_symbol": adjoint_symbol(S),
+        "negate_theta": negate_theta(S),
+        "identity_symbol": identity_symbol(d),
         # a unitary similarity of S is a product with two unitary symbols
-        compose(compose(WcSymbol(1.0, np.zeros(d), U, np.zeros(d)), S),
-                WcSymbol(1.0, np.zeros(d), V, np.zeros(d))),
-        conjugate_by_J(S, J),
-        find_conjugation_real_symmetric(rand_real_symmetric_symbol(rng, d)),
-        find_conjugation_normal(rand_normal_bounded_symbol(rng, d, with_fixed_eig=True)),
-        act_on_kernel(S, w),
-        apply_to_kernel(J, w),
-        apply_symbol(S, F),
-        apply_conjugation(J, F),
-        f + g,
-        f * g,
-        f.partial(0),
-        f.scale(0.5 - 2j),
-        generator_apply(P, f),
-    ]
+        "unitary_similarity": compose(compose(WcSymbol(1.0, np.zeros(d), U, np.zeros(d)), S),
+                                      WcSymbol(1.0, np.zeros(d), V, np.zeros(d))),
+        "conjugate_by_J": conjugate_by_J(S, J),
+        "find_real_symmetric": find_conjugation_real_symmetric(rand_real_symmetric_symbol(rng, d)),
+        "find_normal": find_conjugation_normal(
+            rand_normal_bounded_symbol(rng, d, with_fixed_eig=True)),
+        "act_on_kernel": act_on_kernel(S, w),
+        "apply_to_kernel": apply_to_kernel(J, w),
+        "apply_symbol": apply_symbol(S, F),
+        "apply_conjugation": apply_conjugation(J, F),
+        "mpoly_add": f + g,
+        "mpoly_mul": f * g,
+        "mpoly_partial": f.partial(0),
+        "mpoly_scale": f.scale(0.5 - 2j),
+        "generator_apply": generator_apply(P, f),
+    }
+    G = rand_kernel_combo(rng, d, 2)  # drawn last: the values above keep their bits
+    return values | {
+        "combo_scale": F.scale(0.5 - 2j),
+        "combo_add": F + G,
+        "combo_sub": F - G,
+        "combo_term": F.terms[0],
+        "combo_from_pairs": KernelCombo.from_pairs(d, [(1.5j, w), (-2.0, G.points[0])]),
+    }
 
 
-VALUES = [v for seed, d in ((1, 1), (2, 2), (3, 3), (4, 5)) for v in _library_values(seed, d)]
-IDS = [f"{type(v).__name__}-{i}" for i, v in enumerate(VALUES)]
+# the labels whose cases were once numbered by position over all seeds; they
+# keep those ids, {type}-{position}, and a label that goes keeps its place here
+# so that no other case is renamed.  Every other case is {label}-d{d}
+_NUMBERED = (
+    "symbol_at", "compose", "adjoint_symbol", "negate_theta", "identity_symbol",
+    "unitary_similarity", "conjugate_by_J", "find_real_symmetric", "find_normal",
+    "act_on_kernel", "apply_to_kernel", "apply_symbol", "apply_conjugation",
+    "mpoly_add", "mpoly_mul", "mpoly_partial", "mpoly_scale", "generator_apply",
+)
+
+
+def _case_id(k: int, d: int, label: str, value) -> str:
+    if label in _NUMBERED:
+        return f"{type(value).__name__}-{len(_NUMBERED) * k + _NUMBERED.index(label)}"
+    return f"{label}-d{d}"
+
+
+CASES = [
+    (_case_id(k, d, label, value), value)
+    for k, (seed, d) in enumerate(((1, 1), (2, 2), (3, 3), (4, 5)))
+    for label, value in _library_values(seed, d).items()
+]
+VALUES = [value for _, value in CASES]
+IDS = [case_id for case_id, _ in CASES]
 
 
 def _fields(value) -> dict:
