@@ -26,17 +26,20 @@ degree less times one linear factor of the composition.  No step loses
 accuracy, since the terms of degree <= N of a linear polynomial times g
 depend only on those of g.  The columns of one degree depend only on the
 degree below, so sections of at most ``LAYERED_MAX_ROWS`` rows are built
-one run of columns (one degree, one factor) per NumPy call; taller ones,
-where a run no longer stays in cache, one column per call.  Both orders do
-the same floating-point operations, so they agree bit for bit.  A row
-bound m builds only the rows of degree <= m (a prefix in graded order) and
-gets those rows of the full section exactly; ``cross_check`` builds only
-the rows of degree <= N/2 that it compares.  It builds them in a
-per-thread workspace, which keeps two buffers, the work array and the
-block, grown to the largest block the thread has needed: 3.85 MiB at
-(d, N) = (4, 10), at most 40.6 MiB at the caps (3, 24).  A warm
-``cross_check`` so touches no fresh pages.  Every other section is a fresh
-array.
+one run of columns (one degree, one factor) per NumPy call, through flat
+indices into the column-major work array, where a run is one contiguous
+segment; taller ones, where a run no longer stays in cache, one column per
+call.  Both orders do the same floating-point operations, so they agree
+bit for bit.  A row bound m builds only the rows of degree <= m (a prefix
+in graded order) and gets those rows of the full section exactly;
+``cross_check`` builds only the rows of degree <= N/2 that it compares.
+The flat indices and the final ratio sqrt(gamma!/alpha!) of a run-built
+block are kept per (d, N, m): 1.4 MiB at (d, N, m) = (4, 10, 5), at most
+12.7 MiB for ``cross_check``'s rows at the caps (3, 24).  ``cross_check``
+builds in a per-thread workspace, which keeps two buffers, the work array
+and the block, grown to the largest block the thread has needed: 3.85 MiB
+at (4, 10), at most 40.6 MiB at the caps.  A warm ``cross_check`` so
+touches no fresh pages.  Every other section is a fresh array.
 """
 
 from __future__ import annotations
@@ -326,6 +329,10 @@ class _IndexTables:
         self.pos = {alpha: i for i, alpha in enumerate(self.indices)}
         self.alpha = np.array(self.indices, dtype=np.int64)
         self.degree = self.alpha.sum(axis=1)
+        # w^alpha multiplies the entries [power_index[alpha]] of the (N + 1, d)
+        # table w_j^p, p <= N, read flat: (N + 1) d powers instead of n d
+        self.exponents = np.arange(N + 1)[:, None]
+        self.power_index = self.alpha * d + np.arange(d)
         self.fact = np.array(
             [mi_factorial(a) for a in self.indices], dtype=np.float64
         )
@@ -343,8 +350,7 @@ class _IndexTables:
         # alpha - e_k, k = axis, the first axis with alpha_k > 0.  In graded
         # lex order the columns of one degree g and one axis k form a run
         # whose parents are a run of degree g - 1 in the same order, so
-        # ``runs`` holds them as (k, columns, parents) slices; a run of one
-        # column uses integer indices, which keeps its views 1-D
+        # ``runs`` holds them as (k, first column, first parent, width)
         axis = [next(j for j, a in enumerate(alpha) if a) for alpha in self.indices[1:]]
         parent = [
             self.pos[alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]]
@@ -354,11 +360,39 @@ class _IndexTables:
         self.runs = []
         for (_, k), run in groupby(self.columns, lambda c: (self.degree[c[1]], c[0])):
             _, col, par = next(run)
-            width = 1 + sum(1 for _ in run)
-            self.runs.append(
-                (k, col, par) if width == 1
-                else (k, slice(col, col + width), slice(par, par + width))
-            )
+            self.runs.append((k, col, par, 1 + sum(1 for _ in run)))
+        self._run_tables: list[_RunTables | None] = [None] * (N + 1)
+
+    def run_tables(self, m: int) -> "_RunTables":
+        """The ``_RunTables`` of the row bound m, built on first use."""
+        tables = self._run_tables[m]
+        if tables is None:  # a racing thread builds equal tables
+            tables = self._run_tables[m] = _RunTables(self, m)
+        return tables
+
+
+class _RunTables:
+    """``_build_section``'s tables for the row bound m of a section built
+    run by run (at most ``LAYERED_MAX_ROWS`` rows): flat indices into the
+    column-major work array, whose run of w columns is one contiguous
+    segment, and the ratio sqrt(gamma!/alpha!) of the final rescaling."""
+
+    def __init__(self, tab: _IndexTables, m: int):
+        n_src, n_rows = tab.graded_end[m], tab.graded_end[m + 1]
+        width = max((w for *_, w in tab.runs), default=0)
+        # scatter[j][:w]: where z_j moves the entries of degree < m of w
+        # consecutive columns, as (w, n_src) offsets into their segment
+        starts = np.arange(width)[:, None] * n_rows
+        scatter = [starts + s[:n_src] for s in tab.shifts]
+        # per run: axis k, the flat segments of its parents and its columns,
+        # the (w, n_src) block of its parents' entries of degree < m in the
+        # transposed work array, and the scatter prefixes
+        self.runs = [
+            (k, slice(par * n_rows, (par + w) * n_rows), slice(col * n_rows, (col + w) * n_rows),
+             (slice(par, par + w), slice(None, n_src)), [s[:w] for s in scatter])
+            for k, col, par, w in tab.runs
+        ]
+        self.ratio = tab.sqrt_fact[:n_rows, None] / tab.sqrt_fact[None, :]
 
 
 _TABLES: dict[tuple[int, int], _IndexTables] = {}
@@ -383,7 +417,7 @@ def _tables(d: int, N: int) -> _IndexTables:
 def _monomials(w: np.ndarray, tab: _IndexTables, rows: int) -> np.ndarray:
     """w^alpha for the first ``rows`` multi-indices alpha of the tables; each
     entry has the bits it has among all of them."""
-    return np.prod(np.power(w[None, :], tab.alpha[:rows]), axis=1)
+    return np.prod(np.power(w, tab.exponents).ravel()[tab.power_index[:rows]], axis=1)
 
 
 # dtype and memory order of a section build's work array and its block;
@@ -441,40 +475,56 @@ def _wc_section(c0: complex, wvec: np.ndarray, B: np.ndarray,
 def _build_section(c0: complex, wvec: np.ndarray, B: np.ndarray, beta: np.ndarray,
                    tab: _IndexTables, m: int, raw: np.ndarray, block: np.ndarray) -> np.ndarray:
     """The rows of degree <= m of ``_wc_section``, built in the work array
-    ``raw`` and returned as ``block`` (``_SECTION_LAYOUT``), which first holds
-    the ratio sqrt(gamma!/alpha!): NumPy casts a float factor to complex anyway.
+    ``raw`` and returned as ``block`` (``_SECTION_LAYOUT``): raw times the
+    float ratio sqrt(gamma!/alpha!), which NumPy casts to complex for the
+    product.
 
     The columns of degree g and first axis k form one run whose parents are
     one run of degree g - 1, so with at most ``LAYERED_MAX_ROWS`` rows each
-    run is a few NumPy calls: multiply the parent block by beta_k, then
-    scatter-add B_kj times its rows into the rows shifts[j] (injective, so
-    the fancy-index ``+=`` is exact).  Taller sections go column by column:
-    there the run blocks outgrow the cache, and at 969 rows and more the
-    column loop was as fast or faster (1.9x at (d, N) = (5, 10)), while at
-    455-924 rows runs were 4-35% faster.  Each entry sees the same scalar
-    products and sums in the same order either way.  Any overflow raises
-    ``ValueError`` instead of returning a non-finite section.
+    run is a few NumPy calls on ``raw`` read flat, where the w columns of a
+    run are one contiguous segment: multiply the parents' segment by beta_k
+    into the run's, then add B_kj times the parents' rows of degree < m at
+    the offsets ``_RunTables`` keeps for z_j (injective, so the fancy-index
+    ``+=`` is exact; a 2-D fancy index into the column block would copy
+    each destination row as a strided subspace of w entries).  Taller
+    sections go column by column: there the run blocks outgrow the cache.
+    Against the column loop, flat runs took 0.94x its time at (d, N) =
+    (3, 16), 1.10x at (4, 12), 1.45x at (5, 10) and 0.69x at (6, 6), 924
+    rows.  Each entry sees the same scalar products and sums in the same
+    order either way.  Any overflow raises ``ValueError`` instead of
+    returning a non-finite section.
     """
     n_src, n_rows = tab.graded_end[m], tab.graded_end[m + 1]
-    # per axis k, the nonzero linear terms of beta_k + sum_j B_kj z_j
-    terms = [
-        [(tab.shifts[j][:n_src], b) for j, b in enumerate(Bk) if b != 0]
-        for Bk in B.tolist()
-    ]
+    # per axis k, the nonzero linear terms B_kj z_j of beta_k + sum_j B_kj z_j
+    terms = [[(j, b) for j, b in enumerate(Bk) if b != 0] for Bk in B.tolist()]
     # the inputs are finite, so only an overflow (or an inf times 0 after
     # one) can make an entry non-finite; trapping it costs nothing, where a
     # scan of the result took 10% of a full (5, 10) build
     try:
         with np.errstate(over="raise", invalid="raise"):
             raw[:, 0] = c0 * _monomials(wvec, tab, n_rows) / tab.fact[:n_rows]
-            for k, cols, pars in tab.runs if n_rows <= LAYERED_MAX_ROWS else tab.columns:
-                v = raw[:, pars]
-                out = raw[:, cols]
-                np.multiply(beta[k], v, out=out)
-                for dest, b in terms[k]:
-                    out[dest] += b * v[:n_src]
-            np.divide(tab.sqrt_fact[:n_rows, None], tab.sqrt_fact[None, :], out=block)
-            return np.multiply(raw, block, out=block)
+            if n_rows <= LAYERED_MAX_ROWS:
+                run_tab = tab.run_tables(m)
+                cols = raw.T  # C order: column alpha is row alpha, a run one segment
+                flat = cols.ravel()
+                for k, par, col, src, scatter in run_tab.runs:
+                    seg = flat[col]
+                    np.multiply(beta[k], flat[par], out=seg)
+                    v = cols[src]
+                    for j, b in terms[k]:
+                        seg[scatter[j]] += b * v
+                ratio = run_tab.ratio
+            else:
+                shifts = [s[:n_src] for s in tab.shifts]
+                for k, col, par in tab.columns:
+                    v = raw[:, par]
+                    out = raw[:, col]
+                    np.multiply(beta[k], v, out=out)
+                    v = v[:n_src]
+                    for j, b in terms[k]:
+                        out[shifts[j]] += b * v
+                ratio = np.divide(tab.sqrt_fact[:n_rows, None], tab.sqrt_fact[None, :], out=block)
+            return np.multiply(raw, ratio, out=block)
     except FloatingPointError:
         raise ValueError("truncated section is not finite") from None
 

@@ -51,9 +51,18 @@ _EXP_MAX = math.log(_FLOAT_MAX)
 
 def _times_exp(c: complex, expo: complex, what: str) -> complex:
     """c e^expo, or ``ValueError`` naming ``what`` when it is not finite;
-    exp is never called where it would overflow."""
+    exp is never called where it would overflow.  Where that product is not
+    finite, c is first scaled by the exact 2^-k, k the exponent of its larger
+    part, and k log 2 joins expo: a tiny c times an e^expo past 709 is
+    finite."""
     if cmath.isfinite(expo) and expo.real <= _EXP_MAX:
         value = c * complex(np.exp(expo))
+        if cmath.isfinite(value):
+            return value
+    k = math.frexp(max(abs(c.real), abs(c.imag)))[1]
+    shifted = expo + k * math.log(2.0)
+    if cmath.isfinite(shifted) and shifted.real <= _EXP_MAX:
+        value = complex(math.ldexp(c.real, -k), math.ldexp(c.imag, -k)) * complex(np.exp(shifted))
         if cmath.isfinite(value):
             return value
     raise ValueError(f"{what} is not finite: exponent {expo:.6g}")

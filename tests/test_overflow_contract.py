@@ -89,3 +89,20 @@ def test_overflowing_vector_residual_fails_its_verdict(tmp_path, capsys):
     assert code == 1 and err == ""
     assert doc["verdict"] == "false" and doc["residuals"]["ell_condition"] is None
     assert np.isfinite(doc["residuals"]["AOmega_symmetric"])
+
+
+def test_a_tiny_coefficient_times_an_exponential_past_709_is_finite():
+    # 1e-320 e^720 = 4.92e-8: the coefficient is scaled by an exact power of
+    # two before exp is taken, not refused as "psi(z) is not finite"
+    from fockwc.symbols import ScaledKernel, compose, evaluate
+
+    want = math.exp(math.log(1e-320) + 720.0)
+    psi, _ = evaluate(WcSymbol(1e-320, [1.0], [[0.5]], [0.0]), [720.0])
+    assert psi == pytest.approx(want, rel=1e-12)
+    assert ScaledKernel(1e-320, [1.0])([720.0]) == pytest.approx(want, rel=1e-12)
+    # theta1 theta2 = 1e-320 is subnormal and <q1, ell2> = 720
+    S = compose(WcSymbol(1e-160, [0.0], [[0.5]], [1.0]), WcSymbol(1e-160, [720.0], [[0.5]], [0.0]))
+    assert S.theta == pytest.approx(math.exp(math.log(1e-160 * 1e-160) + 720.0), rel=1e-12)
+    # a product that overflows after the scaling still names the exponent
+    with pytest.raises(ValueError, match=r"^psi\(z\) is not finite: exponent 2000\+0j$"):
+        evaluate(WcSymbol(1e-300, [1.0], [[0.5]], [0.0]), [2000.0])

@@ -79,3 +79,33 @@ def test_sections_are_fresh_arrays():
         b = oracle._wc_section(T.theta, np.conj(T.ell), T.Q, T.q, 6, rows=rows)
         assert not np.shares_memory(a, b)
         assert np.array_equal(a, kept) and not np.array_equal(a, b)
+
+
+def test_threads_racing_on_fresh_tables_get_the_single_threaded_bits():
+    # (2, 11) is built nowhere else, so its tables, the run tables of its row
+    # bound 5 among them, are made while the threads race on them
+    rng = np.random.default_rng(11)
+    cases = [_case(rng, 2, 11) for _ in range(4)]
+    oracle._TABLES.pop((2, 11), None)
+    barrier = threading.Barrier(len(cases), timeout=30)
+    got = [None] * len(cases)
+
+    def worker(i):
+        barrier.wait()
+        got[i] = [cross_check(*cases[(i + r) % len(cases)]).hex() for r in range(len(cases))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    oracle._TABLES.pop((2, 11))
+    want = [cross_check(*c).hex() for c in cases]
+    for i, results in enumerate(got):
+        assert results == [want[(i + r) % len(cases)] for r in range(len(cases))]
