@@ -25,12 +25,11 @@ from one SVD call on their stack, without a warning, and an overflowing
 residual raises ``ValueError`` naming it, as ``"Q - Q*"``.
 
 The exponential scales its input by a power of two, cuts the Taylor series
-at the degree m that the remainder bound picks from ``tol`` (read off a
-table of thresholds built once per ``tol``), evaluates that polynomial by
-Paterson-Stockmeyer in about 2 sqrt(m) matrix products instead of m, and
-squares back.  ``expm`` and ``phi12`` also take a
-stack (k, n, n), such as t Omega on a grid of times, and a single matrix is
-a stack of one.  Each member keeps the scaling power of its own 1-norm;
+at the degree m that the remainder bound picks from ``tol``, evaluates that
+polynomial by Paterson-Stockmeyer in about 2 sqrt(m) matrix products
+instead of m, and squares back.  ``expm`` and ``phi12`` also take a stack
+(k, n, n), such as t Omega on a grid of times, and a single matrix is a
+stack of one.  Each member keeps the scaling power of its own 1-norm;
 all share one degree, the largest of the members' own, so every product is
 one matmul on the stack.  ``tol`` keeps its meaning for each member: a
 member whose own degree is lower only gains terms, which lowers its
@@ -59,10 +58,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import functools
 import math
-import struct
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +85,6 @@ _EXPM_FINITE_NORM = 700.0
 _EXP_UNDERFLOW = -746.0
 # Paterson-Stockmeyer tables (q, C) of expm, keyed by the Taylor degree
 _PS_TABLES: dict[int, tuple[int, np.ndarray]] = {}
-# the bits of the double 1/2, the top of ``_degree_table``'s bisections
-_HALF_BITS = 0x3FE0000000000000
 
 # normal_eig: irrational weight of H2 in the first split form H1 + gamma H2
 _HERM_MIX = math.sqrt(2.0) - 1.0
@@ -306,34 +300,6 @@ def _taylor_degree(x: float, tol: float) -> int:
     return _EXPM_MAX_TERMS
 
 
-@functools.lru_cache(maxsize=64)
-def _degree_table(tol: float) -> tuple[float, ...]:
-    """Thresholds T_1 <= ... <= T_{m0-1} of ``_taylor_degree`` on [0, 1/2]
-    for ``tol``, m0 its degree at 1/2: the degree at x is the least m with
-    x <= T_m, and m0 past them all (``bisect_left(table, x) + 1``).  The
-    degree is monotone in x, since every rounded product and quotient of
-    its remainder bound is, so T_m, the largest double with degree at most
-    m, is found by bisection on the bits of non-negative doubles, which
-    order as their values.  Built once per ``tol``."""
-    table = []
-    lo = 0  # the degree at 0 is 1
-    for m in range(1, _taylor_degree(0.5, tol)):
-        hi = _HALF_BITS  # the degree at 1/2 is above m
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _taylor_degree(_bits_to_float(mid), tol) <= m:
-                lo = mid
-            else:
-                hi = mid
-        table.append(_bits_to_float(lo))
-    return tuple(table)
-
-
-def _bits_to_float(bits: int) -> float:
-    """The double whose IEEE 754 bits, as a signed 64-bit integer, are ``bits``."""
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-
 def _ps_table(m: int) -> tuple[int, np.ndarray]:
     """Paterson-Stockmeyer split of sum_{k<=m} X^k/k! with q = floor(sqrt m):
     row j of C holds block j = sum_i C_ji X^i, i <= q, with C_ji = 1/(jq+i)!
@@ -462,9 +428,8 @@ def expm(M, tol: float = 1e-14) -> np.ndarray:
         s.append(_scaling_power(nrm))
         # 2**-s stays representable where 2**s overflows (s > 1023)
         x = max(x, nrm * 2.0 ** -s[-1])
-    # the degree grows with the norm: x gives the largest member degree,
-    # read off the thresholds of _taylor_degree for tol
-    q, C = _ps_table(bisect_left(_degree_table(float(tol)), min(x, 0.5)) + 1)
+    # the degree grows with the norm: x gives the largest member degree
+    q, C = _ps_table(_taylor_degree(min(x, 0.5), tol))
     powers = np.zeros((q + 1, k, n, n), dtype=np.complex128)  # I, X ... X^q
     powers.reshape(q + 1, k, -1)[0, :, :: n + 1] = 1.0
     # X holds the members in descending order of s, so that the members

@@ -92,12 +92,15 @@ def symbol_at(P: SemigroupParams, t: float) -> WcSymbol:
     return symbols_at(P, [t])[0]
 
 
-def _pow2(k: int) -> float:
-    """2**k as a Python float, ``inf`` where it overflows."""
-    try:
-        return math.ldexp(1.0, k)
-    except OverflowError:
-        return math.inf
+def _times_pow2(v, k: int):
+    """v 2**k, rounded once as ``ldexp`` rounds it.  Where 2**k is a finite,
+    nonzero double, that is one multiply, whose signed zeros the recorded
+    bits keep; past it, 2**k is inf or 0, and ``ldexp`` of v's parts gives
+    the value where the multiply would give 0 * inf or lose it."""
+    if -1074 <= k <= 1023:
+        return v * math.ldexp(1.0, k)
+    parts = np.ldexp(np.stack((np.real(v), np.imag(v)), axis=-1), k)
+    return parts.view(np.complex128)[..., 0]
 
 
 def _bordered(P: SemigroupParams) -> tuple:
@@ -172,10 +175,9 @@ def symbols_at(P: SemigroupParams, times) -> list[WcSymbol]:
         except _DigitsLost as exc:
             raise ValueError(f"Q_t at t = {positive[exc.member]!r}: {exc}") from None
         for t, E_t, (kq, kl) in zip(positive, E, powers):
-            q_t = E_t[1:-1, -1] * _pow2(kq)
-            ell_t = np.conj(E_t[0, 1:-1])
-            ell_t *= _pow2(kl)
-            expo = P.theta_star * t + complex(E_t[0, -1]) * _pow2(kq + kl)
+            q_t = _times_pow2(E_t[1:-1, -1], kq)
+            ell_t = _times_pow2(np.conj(E_t[0, 1:-1]), kl)
+            expo = P.theta_star * t + complex(_times_pow2(complex(E_t[0, -1]), kq + kl))
             theta_t = _theta_times_exp(1.0, expo, f"theta_t at t = {t!r}", lambda: 0.0)
             computed.append(WcSymbol._owned(theta_t, ell_t, E_t[1:-1, 1:-1], q_t))
     for i, t in enumerate(times):

@@ -49,30 +49,36 @@ _FLOAT_MAX = float(np.finfo(np.float64).max)
 _EXP_MAX = math.log(_FLOAT_MAX)
 
 
-def _times_exp(c: complex, expo: complex, what: str) -> complex:
-    """c e^expo, or ``ValueError`` naming ``what`` when it is not finite;
-    exp is never called where it would overflow.  Where that product is not
-    finite, c is first scaled by the exact 2^-k, k the exponent of its larger
-    part, and k log 2 joins expo: a tiny c times an e^expo past 709 is
-    finite."""
-    if cmath.isfinite(expo) and expo.real <= _EXP_MAX:
+def _frexp(z: complex) -> tuple[complex, int]:
+    """(z 2^-k, k), k the exponent of the larger part of z."""
+    k = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    return complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k)), k
+
+
+def _times_exp(c: complex, expo: complex, what: str, k: int = 0) -> complex:
+    """c 2^k e^expo, or ``ValueError`` naming ``what`` when it is not finite;
+    exp is never called where it would overflow.  Where k is not 0, or
+    c e^expo is not finite, c is first scaled by the exact 2^-j, j the
+    exponent of its larger part, and (k + j) log 2 joins expo: a tiny c
+    times an e^expo past 709 is finite."""
+    if not k and cmath.isfinite(expo) and expo.real <= _EXP_MAX:
         value = c * complex(np.exp(expo))
         if cmath.isfinite(value):
             return value
-    k = math.frexp(max(abs(c.real), abs(c.imag)))[1]
-    shifted = expo + k * math.log(2.0)
+    c, j = _frexp(c)
+    shifted = expo + (k + j) * math.log(2.0)
     if cmath.isfinite(shifted) and shifted.real <= _EXP_MAX:
-        value = complex(math.ldexp(c.real, -k), math.ldexp(c.imag, -k)) * complex(np.exp(shifted))
+        value = c * complex(np.exp(shifted))
         if cmath.isfinite(value):
             return value
     raise ValueError(f"{what} is not finite: exponent {expo:.6g}")
 
 
-def _theta_times_exp(c: complex, expo: complex, what: str, log_c) -> complex:
+def _theta_times_exp(c: complex, expo: complex, what: str, log_c, k: int = 0) -> complex:
     """``_times_exp`` for the theta of a new symbol, which must be nonzero:
     where it underflows to zero, ``ValueError`` naming ``what`` and the
     exponent of the whole product, ``log_c() + expo``."""
-    theta = _times_exp(c, expo, what)
+    theta = _times_exp(c, expo, what, k)
     if theta == 0:
         raise ValueError(f"{what} underflows to zero: exponent {log_c() + expo:.6g}")
     return theta
@@ -169,12 +175,19 @@ def compose(S1: WcSymbol, S2: WcSymbol) -> WcSymbol:
     components reads
 
         (theta1 theta2 e^{<q1, ell2>},  ell1 + Q1* ell2,  Q2 Q1,  Q2 q1 + q2).
+
+    Where theta1 theta2 underflows to zero, the power of two of each factor
+    joins the exponent, so a theta that is an ordinary double is formed.
     """
     if S1.dim != S2.dim:
         raise ValueError("compose requires symbols of equal dimension")
     expo = pairing(S1.q, S2.ell)
-    theta = _theta_times_exp(S1.theta * S2.theta, expo, "theta of the composition",
-                             lambda: cmath.log(S1.theta) + cmath.log(S2.theta))
+    c, k = S1.theta * S2.theta, 0
+    if c == 0:
+        (c1, k1), (c2, k2) = _frexp(S1.theta), _frexp(S2.theta)
+        c, k = c1 * c2, k1 + k2
+    theta = _theta_times_exp(c, expo, "theta of the composition",
+                             lambda: cmath.log(S1.theta) + cmath.log(S2.theta), k)
     return WcSymbol._owned(theta, S1.ell + adj(S1.Q) @ S2.ell, S2.Q @ S1.Q, S2.Q @ S1.q + S2.q)
 
 

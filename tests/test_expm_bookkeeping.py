@@ -1,51 +1,15 @@
-"""What ``expm`` decides around its matrix products: the Taylor degree read
-off a per-tol table of thresholds is ``_taylor_degree``'s, everywhere on
-[0, 1/2]; a stack's entries are scanned for non-finite values only where a
-1-norm is not finite, with the messages and their order unchanged; and the
-result is scanned for overflow only above the 1-norm where e^M is finite."""
+"""What ``expm`` decides around its matrix products: a stack's entries are
+scanned for non-finite values only where a 1-norm is not finite, with the
+messages and their order unchanged; the result is scanned for overflow only
+above the 1-norm where e^M is finite; and members that share a scaling
+power get their single-matrix bits."""
 
 import math
-from bisect import bisect_left
 
 import numpy as np
 import pytest
 
-from fockwc.linalg import (
-    _EXPM_FINITE_NORM, _EXPM_MAX_TERMS, _degree_table, _taylor_degree, expm,
-)
-
-_TOLS = (1e-9, 1e-13, 1e-14, 1e-16, 1e-300)
-
-
-def _table_degree(x: float, tol: float) -> int:
-    return bisect_left(_degree_table(tol), x) + 1
-
-
-@pytest.mark.parametrize("tol", _TOLS)
-def test_the_degree_table_is_the_taylor_degree(tol):
-    table = _degree_table(tol)
-    assert list(table) == sorted(table) and all(0.0 <= T < 0.5 for T in table)
-    # a dense grid, a log grid down to the least subnormal, and every
-    # threshold with its neighbouring doubles
-    probes = np.linspace(0.0, 0.5, 20001).tolist()
-    probes += np.logspace(-323, math.log10(0.5), 4001).tolist()
-    probes += [y for T in table for y in (math.nextafter(T, 0.0), T, math.nextafter(T, 1.0))]
-    probes += [0.0, 5e-324, math.nextafter(0.5, 0.0), 0.5]
-    for x in probes:
-        x = min(x, 0.5)
-        assert _table_degree(x, tol) == _taylor_degree(x, tol), (x, tol)
-
-
-def test_the_degree_table_reaches_the_term_cap():
-    # tol = 1e-300 needs more than 64 terms at 1/2: its table has a threshold
-    # for every degree below the cap
-    assert _taylor_degree(0.5, 1e-300) == _EXPM_MAX_TERMS
-    assert len(_degree_table(1e-300)) == _EXPM_MAX_TERMS - 1
-    assert _table_degree(0.5, 1e-300) == _EXPM_MAX_TERMS
-
-
-def test_the_degree_table_is_built_once_per_tol():
-    assert _degree_table(1e-13) is _degree_table(1e-13)
+from fockwc.linalg import _EXPM_FINITE_NORM, _taylor_degree, expm
 
 
 def _member(norm):

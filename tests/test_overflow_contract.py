@@ -106,3 +106,40 @@ def test_a_tiny_coefficient_times_an_exponential_past_709_is_finite():
     # a product that overflows after the scaling still names the exponent
     with pytest.raises(ValueError, match=r"^psi\(z\) is not finite: exponent 2000\+0j$"):
         evaluate(WcSymbol(1e-300, [1.0], [[0.5]], [0.0]), [2000.0])
+
+
+# 1e-300 expm1(100) / 1e32 = 2.688e-289, as q_t of the same pack with
+# q* = 1, times 1e-300: q_t is linear in q*, and e^100 itself is 4.7e-12
+# from exp(100) at the semigroups' tol, with q* = 1 as with q* = 1e-300
+_E100 = 1e-300 * symbol_at(SemigroupParams([[1e32]], [1.0], [0.0], 0.0), 1e-30).q[0]
+# (Omega, q*, l*, t) and (theta_t, l_t, q_t), the components ordinary
+# doubles, while a power of two that scales q_t, l_t or the theta_t corner
+# back is past the doubles: 2**k is inf above k = 1023 and 0 below -1074
+_PAST_THE_DOUBLES = [
+    (([[-1e20]], [1e300], [0.0], 1e10), (1.0, 0.0, 1e280)),
+    (([[-1e20]], [1e300], [1e-300], 1e10), (math.exp(1e-10), 1e-320, 1e280)),
+    (([[-1e20]], [0.0], [1e300], 1e10), (1.0, 1e280, 0.0)),
+    (([[1e32]], [1e-300], [0.0], 1e-30), (1.0, 0.0, _E100)),
+    (([[1e32]], [0.0], [1e-300], 1e-30), (1.0, _E100, 0.0)),
+]
+
+
+@pytest.mark.parametrize("args, want", _PAST_THE_DOUBLES,
+                         ids=["q-1e280", "ell-1e-320", "ell-1e280", "q-2.7e-289", "ell-2.7e-289"])
+def test_symbol_at_scales_back_by_a_power_of_two_past_the_doubles(args, want):
+    *pack, t = args
+    S = symbol_at(SemigroupParams(*pack, 0.0), t)
+    for got, value in zip((S.theta, S.ell[0], S.q[0]), want):
+        assert abs(got - value) <= 1e-12 * abs(value), (got, value)
+
+
+@pytest.mark.parametrize("ell2, rounded", [(700.0, 1.0142e-36), (800.0, 2.7264e7)], ids=["1e-36", "2.7e7"])
+def test_compose_folds_each_theta_where_their_product_underflows(ell2, rounded):
+    # theta1 theta2 = 1e-340 underflows to zero, yet theta = 1e-340 e^ell2
+    # is an ordinary double
+    from fockwc.symbols import compose
+
+    S = compose(WcSymbol(1e-170, [0.0], [[0.5]], [1.0]), WcSymbol(1e-170, [ell2], [[0.5]], [0.0]))
+    value = math.exp(2.0 * math.log(1e-170) + ell2)
+    assert abs(S.theta - value) <= 1e-12 * value
+    assert abs(value / rounded - 1.0) < 1e-4
