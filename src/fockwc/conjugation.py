@@ -19,8 +19,6 @@ operator J-selfadjoint.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +35,11 @@ from .linalg import (
     normal_eig,
     owned,
     residuals_within,
+    times_exp,
 )
 # unused here, but kept as a module attribute that benchmarks/tracing.py wraps
 from .linalg import op_norm  # noqa: F401
-from .symbols import ScaledKernel, WcSymbol, _theta_times_exp, _times_exp, act_on_kernels
+from .symbols import ScaledKernel, WcSymbol, _theta_times_exp, act_on_kernels
 from .symbols import adjoint_symbol
 
 __all__ = [
@@ -118,7 +117,7 @@ def apply_to_kernel(J: ConjugationParams, w) -> ScaledKernel:
     require_valid(J)
     S_J = symbol_of(J)
     expo, points = act_on_kernels(S_J, np.conj(as_vector(w, J.dim, "w"))[None, :])
-    coeff = _times_exp(S_J.theta, complex(expo[0]), "J K_w coefficient")
+    coeff = times_exp((S_J.theta,), complex(expo[0]), "J K_w coefficient")
     return owned(ScaledKernel, coeff=coeff, point=points[0])
 
 
@@ -141,8 +140,8 @@ def conjugate_by_J(S: WcSymbol, J: ConjugationParams, tol: float = DEFAULT_TOL) 
     require_valid(J, tol)
     if S.dim != J.dim:
         raise ValueError("symbol and conjugation dimensions differ")
-    A, b, c = J.A, J.b, J.c
-    # overflow is rejected by name in _times_exp or WcSymbol, never warned
+    A, b, c = J.A, J.b, abs(J.c)
+    # overflow is rejected by name in times_exp or WcSymbol, never warned
     with np.errstate(over="ignore", invalid="ignore"):
         AQbar = np.conj(A @ S.Q)
         Qp = AQbar @ A
@@ -153,8 +152,7 @@ def conjugate_by_J(S: WcSymbol, J: ConjugationParams, tol: float = DEFAULT_TOL) 
             + np.dot(np.conj(b), np.conj(S.Q) @ b)
             + np.conj(np.dot(S.q, b))
         )
-    theta_p = _theta_times_exp(abs(c) ** 2 * S.theta.conjugate(), complex(expo), "theta of J C J",
-                               lambda: 2.0 * math.log(abs(c)) + cmath.log(S.theta.conjugate()))
+    theta_p = _theta_times_exp((c, c, S.theta.conjugate()), complex(expo), "theta of J C J")
     return WcSymbol._owned(theta_p, lp, Qp, qp)
 
 

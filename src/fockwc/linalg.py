@@ -18,6 +18,9 @@ remainder-controlled matrix exponential with the companion phi-functions
 
 grouped eigendecompositions for Hermitian and normal matrices, and the
 operator norm.  All functions are pure and never mutate their inputs.
+Every scalar c e^x of the package is one ``times_exp``, the one place that
+decides where the powers of two (``frexp``) of c or of its factors join x;
+``ldexp`` scales back by a power of two, also one past the doubles.
 Every structure residual of a matrix X comes from one table (X, X - X*,
 X - X^t, X^t - X, X X* - X* X, X X* - I, X* X - I): a check names its forms
 and its matrix, ``_residual_norms(Q, "Q", "X - X*")``, gets their norms
@@ -83,6 +86,8 @@ _EXPM_MAX_NORM = 2.0 ** 50
 _EXPM_FINITE_NORM = 700.0
 # e^x rounds to zero for x below this: half the least subnormal is e^-745.13
 _EXP_UNDERFLOW = -746.0
+# largest x with e^x finite in double precision
+_EXP_MAX = math.log(float(np.finfo(np.float64).max))
 # Paterson-Stockmeyer tables (q, C) of expm, keyed by the Taylor degree
 _PS_TABLES: dict[int, tuple[int, np.ndarray]] = {}
 
@@ -121,6 +126,51 @@ def as_scalar(z, name: str = "scalar") -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"{name} must be finite, got {z!r}")
     return z
+
+
+def ldexp(v, k: int):
+    """v 2**k, of a complex or a complex array, rounded once as ``ldexp``
+    rounds it: one multiply, whose signed zeros the recorded bits keep,
+    where 2**k is a finite, nonzero double, else ``ldexp`` of v's parts."""
+    if -1074 <= k <= 1023:
+        return v * math.ldexp(1.0, k)
+    parts = np.ldexp(np.stack((np.real(v), np.imag(v)), axis=-1), k)
+    return parts.view(np.complex128)[..., 0]
+
+
+def frexp(z):
+    """(z 2**-k, k), of a complex or a complex array, k the exponent of its
+    largest part: each part is scaled by ``ldexp``, exactly down to the
+    subnormal range, so the largest lies in [1/2, 1)."""
+    parts = np.stack((np.real(z), np.imag(z)), axis=-1)
+    k = math.frexp(float(np.abs(parts).max()))[1]
+    m = np.ldexp(parts, -k).view(np.complex128)[..., 0]
+    return (m if isinstance(z, np.ndarray) else complex(m)), k
+
+
+def times_exp(factors: tuple, expo: complex, what: str) -> complex:
+    """c e^expo for c the product of ``factors``, in Python complex
+    arithmetic; ``ValueError`` naming ``what`` where it is not finite, and
+    exp is never called where it would overflow.  Where the plain product
+    with a nonzero c is not finite, c, or each factor where c is 0 or not
+    finite, is scaled by its power of two (``frexp``), and the powers join
+    expo as a multiple of log 2."""
+    # in order, as written out: start=1 could flip the sign of a zero part
+    c = math.prod(factors[1:], start=factors[0])
+    if c and cmath.isfinite(expo) and expo.real <= _EXP_MAX:
+        value = c * complex(np.exp(expo))
+        if cmath.isfinite(value):
+            return value
+    if c and cmath.isfinite(c):
+        factors = (c,)
+    mantissas, powers = zip(*map(frexp, factors))
+    c, k = frexp(math.prod(mantissas[1:], start=mantissas[0]))
+    shifted = expo + (sum(powers) + k) * math.log(2.0)
+    if cmath.isfinite(shifted) and shifted.real <= _EXP_MAX:
+        value = c * complex(np.exp(shifted))
+        if cmath.isfinite(value):
+            return value
+    raise ValueError(f"{what} is not finite: exponent {expo:.6g}")
 
 
 def _as_complex_array(a, name: str) -> np.ndarray:

@@ -11,10 +11,11 @@ batch call each.  A defect checks its point set once, as one finite (m, d)
 array.  The defects are ratios: ``_scaled`` gives both sides one shift
 e^{-c} that keeps every entry at most 1, so they stay finite wherever E is,
 far past |<q, w>| = 709 where e^{<q, w>} alone overflows, after an exact
-power of two brings a coefficient far from 1 (a subnormal theta, or one
-whose modulus overflows) near it.  The two sides of the
-J-symmetry form are one Gram matrix and its transpose, so that defect
-takes one exponential.  Engine two
+power of two (``linalg.frexp``) brings a coefficient far from 1 (a
+subnormal theta, or one whose modulus overflows) near it.  ``inner`` and
+``apply_symbol`` reach ``linalg.times_exp`` only where their plain NumPy
+value is not finite.  The two sides of the J-symmetry form are one Gram
+matrix and its transpose, so that defect takes one exponential.  Engine two
 builds finite sections of the operators on the orthonormal monomial basis
 ``e_alpha = z^alpha/sqrt(alpha!)`` up to a total degree, by purely
 combinatorial series expansion (never quadrature).  Closed-form identities
@@ -57,7 +58,8 @@ from .conjugation import ConjugationParams, require_valid, symbol_of
 from .conjugation import apply_to_kernel  # noqa: F401  wrapped here by benchmarks/tracing.py
 from .errors import DegreeCapError, PreconditionError
 from .linalg import (
-    DEFAULT_TOL, _as_complex_array, as_scalar, as_vector, fields_equal, freeze, op_norm, owned,
+    DEFAULT_TOL, _as_complex_array, as_scalar, as_vector, fields_equal, freeze, frexp,
+    op_norm, owned, times_exp,
 )
 from .polynomials import MPoly, mi_factorial, multi_indices
 from .symbols import ScaledKernel, WcSymbol, act_on_kernel, act_on_kernels, adjoint_symbol
@@ -185,6 +187,8 @@ def inner(F: KernelCombo, G: KernelCombo) -> complex:
     """Fock inner product of kernel combinations via reproducing property.
 
     <sum_i c_i K_{w_i}, sum_j d_j K_{z_j}> = sum_ij c_i conj(d_j) e^{<z_j, w_i>}.
+    Where it is not finite, each side's coefficients are scaled by their
+    power of two (``frexp``), and e^{max Re E} leaves the sum for ``times_exp``.
     """
     if F.dim != G.dim:
         raise ValueError("kernel combo dimensions differ")
@@ -192,18 +196,24 @@ def inner(F: KernelCombo, G: KernelCombo) -> complex:
     # an overflowing kernel value surfaces as the ValueError, never as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         value = complex(F.coeffs @ np.exp(E) @ np.conj(G.coeffs))
-    if not cmath.isfinite(value):
-        raise ValueError(f"inner product is not finite: max Re<z_j, w_i> = {E.real.max():.6g}")
-    return value
+    if cmath.isfinite(value):
+        return value
+    (f, kf), (g, kg), top = frexp(F.coeffs), frexp(G.coeffs), float(E.real.max())
+    value = complex(f @ np.exp(E - top) @ np.conj(g))
+    return times_exp((value,), top + (kf + kg) * math.log(2.0), "inner product")
 
 
 def apply_symbol(S: WcSymbol, F: KernelCombo) -> KernelCombo:
-    """Apply C_S termwise, c_i K_{w_i} -> c_i C_S K_{w_i}, in one batch."""
+    """Apply C_S termwise, c_i K_{w_i} -> c_i C_S K_{w_i}, in one batch;
+    a coefficient that is not finite so is formed again by ``times_exp``."""
     if S.dim != F.dim:
         raise ValueError("symbol and combo dimensions differ")
     expo, points = act_on_kernels(S, F.points)
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = F.coeffs * (S.theta * np.exp(expo))
+    for i in np.flatnonzero(~np.isfinite(coeffs)).tolist():
+        coeffs[i] = times_exp((complex(F.coeffs[i]), S.theta), complex(expo[i]),
+                              "kernel combo coefficient")
     return owned(KernelCombo, dim=F.dim, coeffs=coeffs, points=points)
 
 
@@ -246,10 +256,8 @@ def _scaled(*sides) -> tuple[list, float]:
     terms = []
     for coeff, E in sides:
         k = 0
-        big = max(abs(coeff.real), abs(coeff.imag))
-        if not 2.0 ** -900 <= big <= 2.0 ** 900:
-            k = math.frexp(big)[1]
-            coeff = complex(math.ldexp(coeff.real, -k), math.ldexp(coeff.imag, -k))
+        if not 2.0 ** -900 <= max(abs(coeff.real), abs(coeff.imag)) <= 2.0 ** 900:
+            coeff, k = frexp(coeff)
         terms.append((coeff, E, k * math.log(2.0)))
     c = max(0.0, *(float(E.real.max()) + log2k + math.log(abs(coeff))
                    for coeff, E, log2k in terms))

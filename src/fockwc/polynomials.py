@@ -13,6 +13,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
+from operator import sub
 
 import numpy as np
 
@@ -23,13 +25,11 @@ __all__ = ["MPoly"]
 
 
 def monomials_of_degree(d: int, k: int):
-    """Yield multi-indices of length ``d`` summing to ``k``, lex ascending."""
-    if d == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in monomials_of_degree(d - 1, k - first):
-            yield (first,) + rest
+    """Multi-indices of length ``d`` summing to ``k``, lex ascending: the
+    steps of their partial sums alpha_0 + ... + alpha_i, i < d - 1, which
+    ``combinations_with_replacement`` yields as tuples in [0, k], in lex order."""
+    return (tuple(map(sub, (*s, k), (0, *s)))
+            for s in combinations_with_replacement(range(k + 1), d - 1))
 
 
 def multi_indices(d: int, max_degree: int) -> list[tuple[int, ...]]:

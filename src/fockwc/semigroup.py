@@ -92,33 +92,17 @@ def symbol_at(P: SemigroupParams, t: float) -> WcSymbol:
     return symbols_at(P, [t])[0]
 
 
-def _times_pow2(v, k: int):
-    """v 2**k, rounded once as ``ldexp`` rounds it.  Where 2**k is a finite,
-    nonzero double, that is one multiply, whose signed zeros the recorded
-    bits keep; past it, 2**k is inf or 0, and ``ldexp`` of v's parts gives
-    the value where the multiply would give 0 * inf or lose it."""
-    if -1074 <= k <= 1023:
-        return v * math.ldexp(1.0, k)
-    parts = np.ldexp(np.stack((np.real(v), np.imag(v)), axis=-1), k)
-    return parts.view(np.complex128)[..., 0]
-
-
 def _bordered(P: SemigroupParams) -> tuple:
     """What the bordered matrices of P share: B, the (d+2) x (d+2) zero
     matrix with Omega in its middle block, so that t B is W without its
-    borders; and q* and conj(l*), each as (v 2**-k, ||v 2**-k||_1, k) with
-    the largest real or imaginary part of v 2**-k in [1/2, 1): exact down
-    to the subnormal range, and finite where ||v||_1 itself would overflow."""
+    borders; and q* and conj(l*), each as (v 2**-k, ||v 2**-k||_1, k) by
+    ``linalg.frexp``, finite where ||v||_1 itself would overflow."""
     d = P.dim
     B = np.zeros((d + 2, d + 2), dtype=np.complex128)
     B[1:-1, 1:-1] = P.Omega
     B.setflags(write=False)
-    out = [B]
-    for v in (P.q_star, np.conj(P.ell_star)):
-        k = math.frexp(float(np.abs(v.view(np.float64)).max()))[1]
-        v = np.ldexp(v.view(np.float64), -k).view(np.complex128)
-        out.append((v, float(np.abs(v).sum()), k))
-    return tuple(out)
+    borders = map(linalg.frexp, (P.q_star, np.conj(P.ell_star)))
+    return (B, *((v, float(np.abs(v).sum()), k) for v, k in borders))
 
 
 def _border_power(t: float, norm: float) -> int:
@@ -175,10 +159,10 @@ def symbols_at(P: SemigroupParams, times) -> list[WcSymbol]:
         except _DigitsLost as exc:
             raise ValueError(f"Q_t at t = {positive[exc.member]!r}: {exc}") from None
         for t, E_t, (kq, kl) in zip(positive, E, powers):
-            q_t = _times_pow2(E_t[1:-1, -1], kq)
-            ell_t = _times_pow2(np.conj(E_t[0, 1:-1]), kl)
-            expo = P.theta_star * t + complex(_times_pow2(complex(E_t[0, -1]), kq + kl))
-            theta_t = _theta_times_exp(1.0, expo, f"theta_t at t = {t!r}", lambda: 0.0)
+            q_t = linalg.ldexp(E_t[1:-1, -1], kq)
+            ell_t = linalg.ldexp(np.conj(E_t[0, 1:-1]), kl)
+            expo = P.theta_star * t + complex(linalg.ldexp(complex(E_t[0, -1]), kq + kl))
+            theta_t = _theta_times_exp((1.0,), expo, f"theta_t at t = {t!r}")
             computed.append(WcSymbol._owned(theta_t, ell_t, E_t[1:-1, 1:-1], q_t))
     for i, t in enumerate(times):
         if t == 0:

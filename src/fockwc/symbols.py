@@ -16,8 +16,10 @@ similarity is a product with two unitary symbols) exact arithmetic on the
 four components.  All operations return new values; symbols are
 immutable.  The operations build their results by
 ``WcSymbol._owned`` (``linalg.owned``), without the public constructor's
-coercion and copy but with its checks on theta and on finiteness.  A new
-theta that underflows to zero raises a ``ValueError`` that names it.
+coercion and copy but with its checks on theta and on finiteness.  Each
+c e^x, the theta of a product or of J C J, psi(z), a kernel value or image
+coefficient, is ``linalg.times_exp`` of its factors.  A new theta that
+underflows to zero raises a ``ValueError`` that names it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import COMPLEX, MATRIX, VECTOR, Record
-from .linalg import adj, as_scalar, as_vector, owned, pairing
+from .linalg import adj, as_scalar, as_vector, owned, pairing, times_exp
 
 __all__ = [
     "WcSymbol",
@@ -45,42 +47,15 @@ __all__ = [
 # absolute floor under the relative equality threshold
 _EQ_FLOOR = 1e-12
 _FLOAT_MAX = float(np.finfo(np.float64).max)
-# largest x with exp(x) finite in double precision
-_EXP_MAX = math.log(_FLOAT_MAX)
 
 
-def _frexp(z: complex) -> tuple[complex, int]:
-    """(z 2^-k, k), k the exponent of the larger part of z."""
-    k = math.frexp(max(abs(z.real), abs(z.imag)))[1]
-    return complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k)), k
-
-
-def _times_exp(c: complex, expo: complex, what: str, k: int = 0) -> complex:
-    """c 2^k e^expo, or ``ValueError`` naming ``what`` when it is not finite;
-    exp is never called where it would overflow.  Where k is not 0, or
-    c e^expo is not finite, c is first scaled by the exact 2^-j, j the
-    exponent of its larger part, and (k + j) log 2 joins expo: a tiny c
-    times an e^expo past 709 is finite."""
-    if not k and cmath.isfinite(expo) and expo.real <= _EXP_MAX:
-        value = c * complex(np.exp(expo))
-        if cmath.isfinite(value):
-            return value
-    c, j = _frexp(c)
-    shifted = expo + (k + j) * math.log(2.0)
-    if cmath.isfinite(shifted) and shifted.real <= _EXP_MAX:
-        value = c * complex(np.exp(shifted))
-        if cmath.isfinite(value):
-            return value
-    raise ValueError(f"{what} is not finite: exponent {expo:.6g}")
-
-
-def _theta_times_exp(c: complex, expo: complex, what: str, log_c, k: int = 0) -> complex:
-    """``_times_exp`` for the theta of a new symbol, which must be nonzero:
-    where it underflows to zero, ``ValueError`` naming ``what`` and the
-    exponent of the whole product, ``log_c() + expo``."""
-    theta = _times_exp(c, expo, what, k)
+def _theta_times_exp(factors: tuple, expo: complex, what: str) -> complex:
+    """``times_exp`` for the nonzero theta of a new symbol: where it
+    underflows to zero, ``ValueError`` naming ``what`` and log theta."""
+    theta = times_exp(factors, expo, what)
     if theta == 0:
-        raise ValueError(f"{what} underflows to zero: exponent {log_c() + expo:.6g}")
+        log_theta = sum(map(cmath.log, factors)) + expo
+        raise ValueError(f"{what} underflows to zero: exponent {log_theta:.6g}")
     return theta
 
 
@@ -106,7 +81,7 @@ class ScaledKernel(Record):
     def __call__(self, x) -> complex:
         """Evaluate coeff * K_point at x, i.e. coeff * e^{<x, point>}."""
         x = as_vector(x, self.dim, "x")
-        return _times_exp(self.coeff, pairing(x, self.point), "kernel value")
+        return times_exp((self.coeff,), pairing(x, self.point), "kernel value")
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +119,7 @@ def evaluate(S: WcSymbol, z) -> tuple[complex, np.ndarray]:
     """Pointwise values (psi(z), phi(z)) by the defining formulas;
     ``ValueError`` naming the value that overflows."""
     z = as_vector(z, S.dim, "z")
-    psi = _times_exp(S.theta, pairing(z, S.ell), "psi(z)")
+    psi = times_exp((S.theta,), pairing(z, S.ell), "psi(z)")
     with np.errstate(over="ignore", invalid="ignore"):
         return psi, as_vector(S.Q @ z + S.q, name="phi(z)")
 
@@ -161,7 +136,7 @@ def act_on_kernel(S: WcSymbol, w) -> ScaledKernel:
     """Image of K_w under C_S: theta e^{<q, w>} K_{Q* w + ell}."""
     w = as_vector(w, S.dim, "w")
     expo, points = act_on_kernels(S, w[None, :])
-    coeff = _times_exp(S.theta, complex(expo[0]), "kernel image coefficient")
+    coeff = times_exp((S.theta,), complex(expo[0]), "kernel image coefficient")
     return owned(ScaledKernel, coeff=coeff, point=points[0])
 
 
@@ -176,18 +151,13 @@ def compose(S1: WcSymbol, S2: WcSymbol) -> WcSymbol:
 
         (theta1 theta2 e^{<q1, ell2>},  ell1 + Q1* ell2,  Q2 Q1,  Q2 q1 + q2).
 
-    Where theta1 theta2 underflows to zero, the power of two of each factor
-    joins the exponent, so a theta that is an ordinary double is formed.
+    theta1 and theta2 are the factors of ``times_exp``: a theta that is an
+    ordinary double is formed where their product underflows to zero.
     """
     if S1.dim != S2.dim:
         raise ValueError("compose requires symbols of equal dimension")
-    expo = pairing(S1.q, S2.ell)
-    c, k = S1.theta * S2.theta, 0
-    if c == 0:
-        (c1, k1), (c2, k2) = _frexp(S1.theta), _frexp(S2.theta)
-        c, k = c1 * c2, k1 + k2
-    theta = _theta_times_exp(c, expo, "theta of the composition",
-                             lambda: cmath.log(S1.theta) + cmath.log(S2.theta), k)
+    theta = _theta_times_exp((S1.theta, S2.theta), pairing(S1.q, S2.ell),
+                             "theta of the composition")
     return WcSymbol._owned(theta, S1.ell + adj(S1.Q) @ S2.ell, S2.Q @ S1.Q, S2.Q @ S1.q + S2.q)
 
 

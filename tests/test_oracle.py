@@ -138,7 +138,8 @@ def test_kernel_combo_batch_calls_match_the_termwise_reference(d):
 
 
 # valid J for d = 1: A = -1 makes A conj(b) + b = 0 for real b, and
-# |c|^2 e^{b^2} = 1; at b = w = 30 the coefficient is c e^{<b, conj w>} = c e^900
+# |c|^2 e^{b^2} = 1; at b = 30, w = 40 the coefficient c e^{<b, conj w>} =
+# e^-450 e^1200 = e^750 overflows (at w = 30 it is e^450, an ordinary double)
 _FAR_J = ConjugationParams([[-1.0]], [30.0], math.exp(-450.0))
 
 
@@ -147,7 +148,7 @@ _FAR_J = ConjugationParams([[-1.0]], [30.0], math.exp(-450.0))
     [
         lambda: apply_symbol(WcSymbol(1.0, [0.0], [[1.0]], [30.0]), _combo(1, (1.0, [30.0]))),
         lambda: apply_symbol(WcSymbol(1.0, [0.0], [[1.0]], [50.0]), _combo(1, (1e300, [1.0]))),
-        lambda: apply_conjugation(_FAR_J, _combo(1, (1.0, [0.0]), (1.0, [30.0]))),
+        lambda: apply_conjugation(_FAR_J, _combo(1, (1.0, [0.0]), (1.0, [40.0]))),
         lambda: _combo(1, (1.0, [30.0]))([30.0]),
         lambda: _combo(1, (1e300, [1.0]), (1.0, [0.0]))([50.0]),
     ],
