@@ -154,7 +154,8 @@ def times_exp(factors: tuple, expo: complex, what: str) -> complex:
     exp is never called where it would overflow.  Where the plain product
     with a nonzero c is not finite, c, or each factor where c is 0 or not
     finite, is scaled by its power of two (``frexp``), and the powers join
-    expo as a multiple of log 2."""
+    expo as a multiple of log 2.  A zero factor gives 0 for every finite
+    expo."""
     # in order, as written out: start=1 could flip the sign of a zero part
     c = math.prod(factors[1:], start=factors[0])
     if c and cmath.isfinite(expo) and expo.real <= _EXP_MAX:
@@ -170,6 +171,8 @@ def times_exp(factors: tuple, expo: complex, what: str) -> complex:
         value = c * complex(np.exp(shifted))
         if cmath.isfinite(value):
             return value
+    if c == 0 and cmath.isfinite(expo):  # a zero factor: 0 e^x is 0, also past 709
+        return c
     raise ValueError(f"{what} is not finite: exponent {expo:.6g}")
 
 

@@ -26,17 +26,18 @@ truncated exponential weight, and each further column is a column of one
 degree less times one linear factor of the composition.  No step loses
 accuracy, since the terms of degree <= N of a linear polynomial times g
 depend only on those of g.  The columns of one degree depend only on the
-degree below, so sections of at most ``LAYERED_MAX_ROWS`` rows are built
-one run of columns (one degree, one factor) per NumPy call, through flat
-indices into the column-major work array, where a run is one contiguous
-segment; taller ones, where a run no longer stays in cache, one column per
-call.  Both orders do the same floating-point operations, so they agree
-bit for bit.  A row bound m builds only the rows of degree <= m (a prefix
-in graded order) and gets those rows of the full section exactly;
-``cross_check`` builds only the rows of degree <= N/2 that it compares.
-The flat indices and the final ratio sqrt(gamma!/alpha!) of a run-built
-block are kept per (d, N, m): 1.4 MiB at (d, N, m) = (4, 10, 5), at most
-12.7 MiB for ``cross_check``'s rows at the caps (3, 24).  ``cross_check``
+degree below, so a section is built one chunk of a run of columns (one
+degree, one factor) per NumPy call, through flat indices into the
+column-major work array, where a chunk is one contiguous segment.  A chunk
+holds at most ``RUN_ENTRIES`` entries, whatever the height of the section,
+so it and its parents stay in cache; the chunks change no operation, so
+every entry keeps its bits.  A row bound m builds only the rows of degree
+<= m (a prefix in graded order) and gets those rows of the full section
+exactly; ``cross_check`` builds only the rows of degree <= N/2 that it
+compares.  The flat indices and the final ratio sqrt(gamma!/alpha!) are
+kept per (d, N, m): 1.4 MiB at (d, N, m) = (4, 10, 5), 10.7 MiB for
+``cross_check``'s rows at the caps (3, 24), and mostly the ratio, 8 bytes
+an entry, for a full section (69 MiB at (5, 10)).  ``cross_check``
 builds in a per-thread workspace, which keeps two buffers, the work array
 and the block, grown to the largest block the thread has needed: 3.85 MiB
 at (4, 10), at most 40.6 MiB at the caps.  A warm ``cross_check`` so
@@ -84,9 +85,9 @@ MAX_TRUNC_DEGREE = 24
 # basis sizes beyond this cap are refused before any table or n x n matrix
 # is built: one complex128 section of this size takes 256 MiB
 MAX_TRUNC_BASIS = 4096
-# sections with at most this many rows are built one run of columns at a
-# time, larger ones one column at a time (see _wc_section)
-LAYERED_MAX_ROWS = 900
+# a section is built in chunks of at most this many complex entries (512 KiB),
+# so that a chunk and its parents stay in cache (see _build_section)
+RUN_ENTRIES = 2**15
 
 
 # --- kernel span engine ------------------------------------------------------
@@ -364,9 +365,9 @@ class _IndexTables:
             self.pos[alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]]
             for alpha, k in zip(self.indices[1:], axis)
         ]
-        self.columns = list(zip(axis, range(1, len(self.indices)), parent))
+        columns = zip(axis, range(1, len(self.indices)), parent)
         self.runs = []
-        for (_, k), run in groupby(self.columns, lambda c: (self.degree[c[1]], c[0])):
+        for (_, k), run in groupby(columns, lambda c: (self.degree[c[1]], c[0])):
             _, col, par = next(run)
             self.runs.append((k, col, par, 1 + sum(1 for _ in run)))
         self._run_tables: list[_RunTables | None] = [None] * (N + 1)
@@ -380,25 +381,33 @@ class _IndexTables:
 
 
 class _RunTables:
-    """``_build_section``'s tables for the row bound m of a section built
-    run by run (at most ``LAYERED_MAX_ROWS`` rows): flat indices into the
-    column-major work array, whose run of w columns is one contiguous
-    segment, and the ratio sqrt(gamma!/alpha!) of the final rescaling."""
+    """``_build_section``'s tables for the row bound m: flat indices into
+    the column-major work array, whose chunk of w consecutive columns of a
+    run is one contiguous segment, and the ratio sqrt(gamma!/alpha!) of the
+    final rescaling.  A run is cut into chunks of at most
+    cw = max(1, ``RUN_ENTRIES`` // n_rows) columns, which stay in cache.
+    One offset table per axis, as wide as the widest chunk, serves every
+    chunk, through one list of its prefixes per chunk width, so the tables
+    of d one-column runs hold d views, not d per run."""
 
     def __init__(self, tab: _IndexTables, m: int):
         n_src, n_rows = tab.graded_end[m], tab.graded_end[m + 1]
-        width = max((w for *_, w in tab.runs), default=0)
+        cw = max(1, RUN_ENTRIES // n_rows)
+        spans = [(k, col + i, par + i, min(cw, w - i))
+                 for k, col, par, w in tab.runs for i in range(0, w, cw)]
         # scatter[j][:w]: where z_j moves the entries of degree < m of w
-        # consecutive columns, as (w, n_src) offsets into their segment
-        starts = np.arange(width)[:, None] * n_rows
+        # consecutive columns, as (w, n_src) offsets into their segment; the
+        # prefixes of one width are one list, shared by its chunks
+        starts = np.arange(max((w for *_, w in spans), default=0))[:, None] * n_rows
         scatter = [starts + s[:n_src] for s in tab.shifts]
-        # per run: axis k, the flat segments of its parents and its columns,
-        # the (w, n_src) block of its parents' entries of degree < m in the
-        # transposed work array, and the scatter prefixes
-        self.runs = [
+        prefixes = {w: [s[:w] for s in scatter] for w in {w for *_, w in spans}}
+        # per chunk: axis k, the flat segments of its parents and its
+        # columns, the (w, n_src) block of its parents' entries of degree
+        # < m in the transposed work array, and the scatter prefixes
+        self.chunks = [
             (k, slice(par * n_rows, (par + w) * n_rows), slice(col * n_rows, (col + w) * n_rows),
-             (slice(par, par + w), slice(None, n_src)), [s[:w] for s in scatter])
-            for k, col, par, w in tab.runs
+             (slice(par, par + w), slice(None, n_src)), prefixes[w])
+            for k, col, par, w in spans
         ]
         self.ratio = tab.sqrt_fact[:n_rows, None] / tab.sqrt_fact[None, :]
 
@@ -488,51 +497,38 @@ def _build_section(c0: complex, wvec: np.ndarray, B: np.ndarray, beta: np.ndarra
     product.
 
     The columns of degree g and first axis k form one run whose parents are
-    one run of degree g - 1, so with at most ``LAYERED_MAX_ROWS`` rows each
-    run is a few NumPy calls on ``raw`` read flat, where the w columns of a
-    run are one contiguous segment: multiply the parents' segment by beta_k
-    into the run's, then add B_kj times the parents' rows of degree < m at
-    the offsets ``_RunTables`` keeps for z_j (injective, so the fancy-index
-    ``+=`` is exact; a 2-D fancy index into the column block would copy
-    each destination row as a strided subspace of w entries).  Taller
-    sections go column by column: there the run blocks outgrow the cache.
-    Against the column loop, flat runs took 0.94x its time at (d, N) =
-    (3, 16), 1.10x at (4, 12), 1.45x at (5, 10) and 0.69x at (6, 6), 924
-    rows.  Each entry sees the same scalar products and sums in the same
-    order either way.  Any overflow raises ``ValueError`` instead of
-    returning a non-finite section.
+    one run of degree g - 1.  Each chunk of a run (``_RunTables``) is a few
+    NumPy calls on ``raw`` read flat, where its w columns are one contiguous
+    segment: multiply the parents' segment by beta_k into the chunk's, then
+    add B_kj times the parents' rows of degree < m at the offsets kept for
+    z_j (injective, so the fancy-index ``+=`` is exact; a 2-D fancy index
+    into the column block would copy each destination row as a strided
+    subspace of w entries).  A chunk holds at most ``RUN_ENTRIES`` entries,
+    so at any height it and its parents stay in cache, where a whole run of
+    a tall section would not.  Each entry sees the same scalar products and
+    sums in the same order, whatever the chunks.  Any overflow raises
+    ``ValueError`` instead of returning a non-finite section.
     """
-    n_src, n_rows = tab.graded_end[m], tab.graded_end[m + 1]
-    # per axis k, the nonzero linear terms B_kj z_j of beta_k + sum_j B_kj z_j
-    terms = [[(j, b) for j, b in enumerate(Bk) if b != 0] for Bk in B.tolist()]
+    n_rows = tab.graded_end[m + 1]
+    run_tab = tab.run_tables(m)
+    # per axis k, the nonzero linear terms B_kj z_j of beta_k + sum_j B_kj z_j,
+    # read row by row, so a large B is never a list of d^2 Python numbers
+    terms = [[(j, b) for j, b in enumerate(Bk.tolist()) if b != 0] for Bk in B]
+    cols = raw.T  # C order: column alpha is row alpha, a chunk one segment
+    flat = cols.ravel()
     # the inputs are finite, so only an overflow (or an inf times 0 after
     # one) can make an entry non-finite; trapping it costs nothing, where a
     # scan of the result took 10% of a full (5, 10) build
     try:
         with np.errstate(over="raise", invalid="raise"):
             raw[:, 0] = c0 * _monomials(wvec, tab, n_rows) / tab.fact[:n_rows]
-            if n_rows <= LAYERED_MAX_ROWS:
-                run_tab = tab.run_tables(m)
-                cols = raw.T  # C order: column alpha is row alpha, a run one segment
-                flat = cols.ravel()
-                for k, par, col, src, scatter in run_tab.runs:
-                    seg = flat[col]
-                    np.multiply(beta[k], flat[par], out=seg)
-                    v = cols[src]
-                    for j, b in terms[k]:
-                        seg[scatter[j]] += b * v
-                ratio = run_tab.ratio
-            else:
-                shifts = [s[:n_src] for s in tab.shifts]
-                for k, col, par in tab.columns:
-                    v = raw[:, par]
-                    out = raw[:, col]
-                    np.multiply(beta[k], v, out=out)
-                    v = v[:n_src]
-                    for j, b in terms[k]:
-                        out[shifts[j]] += b * v
-                ratio = np.divide(tab.sqrt_fact[:n_rows, None], tab.sqrt_fact[None, :], out=block)
-            return np.multiply(raw, ratio, out=block)
+            for k, par, col, src, scatter in run_tab.chunks:
+                seg = flat[col]
+                np.multiply(beta[k], flat[par], out=seg)
+                v = cols[src]
+                for j, b in terms[k]:
+                    seg[scatter[j]] += b * v
+            return np.multiply(raw, run_tab.ratio, out=block)
     except FloatingPointError:
         raise ValueError("truncated section is not finite") from None
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -462,7 +463,7 @@ def test_full_sections_match_mpoly_reference(d, N):
 
 
 @pytest.mark.parametrize(
-    "d, N", [(1, 12), (2, 12), (3, 10), (3, 16), (4, 12), (5, 10), (2, 0), (3, 1)]
+    "d, N", [(1, 12), (2, 12), (3, 10), (3, 16), (4, 12), (5, 10), (6, 6), (2, 0), (3, 1)]
 )
 @pytest.mark.parametrize("zeros", [False, True], ids=["generic", "diagonal"])
 def test_row_bounded_section_is_graded_prefix(d, N, zeros):
@@ -480,12 +481,13 @@ def test_row_bounded_section_is_graded_prefix(d, N, zeros):
 @pytest.mark.parametrize(
     "d, N",
     [(1, 3), (2, 3), (1, 12), (2, 12), (3, 10), (3, 12), (4, 10), (4, 12), (5, 10),
-     (2, 0), (2, 1), (3, 5)],
+     (2, 0), (2, 1), (3, 5), (6, 6)],
 )
 @pytest.mark.parametrize("kind", ["generic", "diagonal", "zero_column"])
 def test_section_equals_column_loop_reference(d, N, kind):
-    # rows in {0, N//2, N} put (4,10), (4,12) and (5,10) in full on the
-    # column side of LAYERED_MAX_ROWS and every other build on the run side
+    # rows in {0, N//2, N}: the full (3,12), (4,10), (4,12), (5,10) and (6,6)
+    # and the half (4,12) and (5,10) cut their widest runs into chunks of
+    # RUN_ENTRIES // n_rows columns; every other build is one chunk per run
     rng = np.random.default_rng(81 + 10 * d + N)
     S = rand_symbol(rng, d, scale=0.3)
     B = S.Q.copy()
@@ -496,6 +498,23 @@ def test_section_equals_column_loop_reference(d, N, kind):
     args = (S.theta, np.conj(S.ell), B, S.q, N)
     for m in {0, N // 2, N}:
         assert np.array_equal(oracle._wc_section(*args, rows=m), ref_column_section(*args, rows=m))
+
+
+def test_run_tables_grow_linearly_in_d():
+    # at N = 1 each of the d axes is a run of one column: the bound holds
+    # only where the tables keep d scatter views in all, not d per run
+    d = 600
+    oracle._TABLES.pop((d, 1), None)
+    _tables(d, 1)
+    args = (1.0, np.zeros(d), np.zeros((d, d)), np.zeros(d), 1)
+    tracemalloc.start()
+    try:
+        block = oracle._wc_section(*args, rows=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.tolist() == [[1.0] + [0.0] * d]
+    assert peak <= 4 * 2**20
 
 
 def test_kernel_coeff_vector_examples():

@@ -1,7 +1,8 @@
 """The bits of the truncated-section engine, pinned: ``_wc_section`` at the
 row bounds N // 2 and N on the four ``crosscheck`` shapes, on the ``flow``
 generator shapes (1, 3) and (2, 3), and at (3, 16), whose full section of
-969 rows takes the column loop; ``cross_check`` on the four ``crosscheck``
+969 rows, like the full (3, 12) and (4, 10), is built in chunks narrower
+than its widest run; ``cross_check`` on the four ``crosscheck``
 shapes; and ``kernel_coeff_vector``.  Each case is the SHA-256 of the
 ``float.hex`` of the real and imaginary part of every entry, in row-major
 order, so any change of a last bit anywhere in a section fails its case by

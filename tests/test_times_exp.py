@@ -12,7 +12,7 @@ from fockwc.conjugation import apply_to_kernel
 from fockwc.oracle import KernelCombo, apply_conjugation, apply_symbol, cross_check, inner
 from fockwc.oracle import trunc_symbol_matrix
 from fockwc.polynomials import monomials_of_degree
-from fockwc.symbols import act_on_kernel
+from fockwc.symbols import ScaledKernel, act_on_kernel
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -81,6 +81,21 @@ def test_times_exp_folds_only_where_the_plain_product_is_not_an_ordinary_value()
         math.exp(math.log(1e-300) + 800.0), rel=1e-12)
     with pytest.raises(ValueError, match=r"^v is not finite: exponent 2000\+0j$"):
         linalg.times_exp((1e-300,), 2000.0 + 0j, "v")
+
+
+def test_a_zero_coefficient_times_an_exponential_past_709_is_zero():
+    # 0 e^x is exactly 0, also where e^x alone overflows
+    assert linalg.times_exp((0.0,), 800.0 + 0j, "v") == 0
+    assert linalg.times_exp((2.0, 0j), 1e300 + 1j, "v") == 0
+    assert ScaledKernel(0.0, [1.0])([800.0]) == 0
+    S = WcSymbol(1.0, [0.0], [[1.0]], [30.0])
+    F = apply_symbol(S, KernelCombo(1, [0.0, 1.0], [[30.0], [0.0]]))
+    assert F.coeffs.tolist() == [0j, 1 + 0j] and F.points.tolist() == [[30 + 0j], [0j]]
+    assert inner(KernelCombo(1, [0.0], [[30.0]]), KernelCombo(1, [0.0], [[30.0]])) == 0
+    # 0 times an exponent that is not finite is not a number
+    for expo in (complex(math.inf, 0.0), complex(math.nan, 0.0)):
+        with pytest.raises(ValueError, match=r"^v is not finite: exponent "):
+            linalg.times_exp((0.0,), expo, "v")
 
 
 def test_frexp_and_ldexp_are_exact_inverses_past_the_doubles():
