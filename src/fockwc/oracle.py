@@ -25,10 +25,11 @@ Truncated sections are built by a column recurrence: column 0 is the
 truncated exponential weight, and each further column is a column of one
 degree less times one linear factor of the composition.  No step loses
 accuracy, since the terms of degree <= N of a linear polynomial times g
-depend only on those of g.  The columns of one degree depend only on the
-degree below, so a section is built one chunk of a run of columns (one
-degree, one factor) per NumPy call, through flat indices into the
-column-major work array, where a chunk is one contiguous segment.  A chunk
+depend only on those of g.  In graded lex order the columns of degree g and
+first axis k form a run of comb(g - 2 + d - k, d - k - 1) columns, whose
+parents are as many first columns of degree g - 1; a section is built one
+chunk of a run per NumPy call, through flat indices into the column-major
+work array, where a chunk is one contiguous segment.  A chunk
 holds at most ``RUN_ENTRIES`` entries, whatever the height of the section,
 so it and its parents stay in cache; the chunks change no operation, so
 every entry keeps its bits.  A row bound m builds only the rows of degree
@@ -50,7 +51,6 @@ import cmath
 import math
 import threading
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -336,12 +336,12 @@ class _IndexTables:
     def __init__(self, d: int, N: int):
         self.indices = multi_indices(d, N)
         self.pos = {alpha: i for i, alpha in enumerate(self.indices)}
-        self.alpha = np.array(self.indices, dtype=np.int64)
-        self.degree = self.alpha.sum(axis=1)
+        alpha = np.array(self.indices, dtype=np.int64)
+        self.degree = alpha.sum(axis=1)
         # w^alpha multiplies the entries [power_index[alpha]] of the (N + 1, d)
         # table w_j^p, p <= N, read flat: (N + 1) d powers instead of n d
         self.exponents = np.arange(N + 1)[:, None]
-        self.power_index = self.alpha * d + np.arange(d)
+        self.power_index = alpha * d + np.arange(d)
         self.fact = np.array(
             [mi_factorial(a) for a in self.indices], dtype=np.float64
         )
@@ -355,21 +355,17 @@ class _IndexTables:
                       for a in self.indices[:self.graded_end[N]]], dtype=np.intp)
             for j in range(d)
         ]
-        # column alpha > 0 of a section is built from its parent column
-        # alpha - e_k, k = axis, the first axis with alpha_k > 0.  In graded
-        # lex order the columns of one degree g and one axis k form a run
-        # whose parents are a run of degree g - 1 in the same order, so
-        # ``runs`` holds them as (k, first column, first parent, width)
-        axis = [next(j for j, a in enumerate(alpha) if a) for alpha in self.indices[1:]]
-        parent = [
-            self.pos[alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]]
-            for alpha, k in zip(self.indices[1:], axis)
-        ]
-        columns = zip(axis, range(1, len(self.indices)), parent)
+        # column alpha > 0 is built from its parent alpha - e_k, k the first
+        # axis with alpha_k > 0.  In graded lex order, for k = d - 1 down to 0,
+        # the w = comb(g - 2 + d - k, d - k - 1) columns of degree g and axis k
+        # are a run whose parents are the first w of degree g - 1: (k, col, par, w)
         self.runs = []
-        for (_, k), run in groupby(columns, lambda c: (self.degree[c[1]], c[0])):
-            _, col, par = next(run)
-            self.runs.append((k, col, par, 1 + sum(1 for _ in run)))
+        for g in range(1, N + 1):
+            col = self.graded_end[g]
+            for k in range(d - 1, -1, -1):
+                w = math.comb(g - 2 + d - k, d - k - 1)
+                self.runs.append((k, col, self.graded_end[g - 1], w))
+                col += w
         self._run_tables: list[_RunTables | None] = [None] * (N + 1)
 
     def run_tables(self, m: int) -> "_RunTables":
@@ -415,7 +411,8 @@ class _RunTables:
 _TABLES: dict[tuple[int, int], _IndexTables] = {}
 
 
-def _tables(d: int, N: int) -> _IndexTables:
+def _check_caps(d: int, N: int) -> None:
+    """Refuse a truncation degree or a basis size past the caps."""
     if N < 0:
         raise ValueError("truncation degree must be non-negative")
     if N > MAX_TRUNC_DEGREE:
@@ -425,6 +422,10 @@ def _tables(d: int, N: int) -> _IndexTables:
     n = math.comb(N + d, d)
     if n > MAX_TRUNC_BASIS:
         raise DegreeCapError(f"basis size {n} for d={d}, N={N} exceeds cap {MAX_TRUNC_BASIS}")
+
+
+def _tables(d: int, N: int) -> _IndexTables:
+    _check_caps(d, N)
     key = (d, N)
     if key not in _TABLES:
         _TABLES[key] = _IndexTables(d, N)
@@ -511,9 +512,10 @@ def _build_section(c0: complex, wvec: np.ndarray, B: np.ndarray, beta: np.ndarra
     """
     n_rows = tab.graded_end[m + 1]
     run_tab = tab.run_tables(m)
-    # per axis k, the nonzero linear terms B_kj z_j of beta_k + sum_j B_kj z_j,
-    # read row by row, so a large B is never a list of d^2 Python numbers
-    terms = [[(j, b) for j, b in enumerate(Bk.tolist()) if b != 0] for Bk in B]
+    # per axis k, the nonzero terms B_kj z_j of beta_k + sum_j B_kj z_j, read
+    # row by row, d^2 (j, b) tuples for a dense B; none at m = 0, where no
+    # entry has a degree below m for z_j to move
+    terms = [[(j, b) for j, b in enumerate(Bk.tolist()) if b != 0] for Bk in (B if m else B[:, :0])]
     cols = raw.T  # C order: column alpha is row alpha, a chunk one segment
     flat = cols.ravel()
     # the inputs are finite, so only an overflow (or an inf times 0 after
@@ -636,8 +638,8 @@ def cross_check(S: WcSymbol, w, N: int, tol: float = 1e-8) -> float:
     w = as_vector(w, S.dim, "w")
     d = S.dim
     m = N // 2
-    tab = _tables(d, N)
-    n_rows = tab.graded_end[m + 1]
+    _check_caps(d, N)  # before the bound, which builds no table
+    n_rows = math.comb(m + d, d)
     # a norm or the weight e^{sqrt(d)||ell||} that overflows makes the
     # bound inf (or nan), which the precondition refuses
     with np.errstate(over="ignore"):
@@ -659,6 +661,7 @@ def cross_check(S: WcSymbol, w, N: int, tol: float = 1e-8) -> float:
             f"truncation tail bound {bound:.3e} is not below tol={tol:.1e}; "
             "shrink the data or raise N"
         )
+    tab = _tables(d, N)
     arrays = _WORKSPACE.arrays((n_rows, len(tab.indices)))
     block = _build_section(S.theta, np.conj(S.ell), S.Q, S.q, tab, m, *arrays)
     lhs = block @ _kernel_coeffs(w, tab, len(tab.indices))  # w is checked above

@@ -7,6 +7,7 @@ calling the code under test.
 """
 
 import math
+from itertools import groupby
 
 import numpy as np
 
@@ -342,6 +343,23 @@ def ref_column_section(c0, wvec, B, beta, N, rows=None):
                 out[shifts[j]] += B[k, j] * v[:n_src]
     sqrt_fact = np.sqrt(fact)
     return raw * (sqrt_fact[:n_rows, None] / sqrt_fact[None, :])
+
+
+def ref_runs(d, N):
+    """The runs of the section build, (k, first column, first parent, width),
+    found by scanning the columns: column alpha > 0 has the axis k of its
+    first nonzero entry and the parent alpha - e_k, and the columns of one
+    degree and one axis, taken in graded order, form one run."""
+    indices = multi_indices(d, N)
+    pos = {a: i for i, a in enumerate(indices)}
+    axis = [next(j for j, a in enumerate(alpha) if a) for alpha in indices[1:]]
+    parent = [pos[a[:k] + (a[k] - 1,) + a[k + 1:]] for a, k in zip(indices[1:], axis)]
+    columns = zip(axis, range(1, len(indices)), parent)
+    runs = []
+    for (_, k), run in groupby(columns, lambda c: (sum(indices[c[1]]), c[0])):
+        _, col, par = next(run)
+        runs.append((k, col, par, 1 + sum(1 for _ in run)))
+    return runs
 
 
 def ref_taylor_expm(M, tol=1e-14, max_terms=64):

@@ -28,7 +28,7 @@ from fockwc import (
     trunc_symbol_matrix,
 )
 from fockwc import conjugation, oracle
-from fockwc.oracle import MAX_TRUNC_BASIS, _tables, exp_tail, poly_coeff_vector
+from fockwc.oracle import MAX_TRUNC_BASIS, MAX_TRUNC_DEGREE, _tables, exp_tail, poly_coeff_vector
 from fockwc.polynomials import MPoly
 from fockwc.symbols import act_on_kernel, act_on_kernels, identity_symbol
 from helpers import (
@@ -49,6 +49,7 @@ from helpers import (
     ref_column_section,
     ref_pairing_defect,
     ref_relative_defect,
+    ref_runs,
     ref_stack_points,
     ref_wc_section,
 )
@@ -502,19 +503,41 @@ def test_section_equals_column_loop_reference(d, N, kind):
 
 def test_run_tables_grow_linearly_in_d():
     # at N = 1 each of the d axes is a run of one column: the bound holds
-    # only where the tables keep d scatter views in all, not d per run
+    # only where the tables keep d scatter views in all, not d per run, and,
+    # for the dense B, where the 1-row build reads none of its d^2 terms
     d = 600
     oracle._TABLES.pop((d, 1), None)
     _tables(d, 1)
-    args = (1.0, np.zeros(d), np.zeros((d, d)), np.zeros(d), 1)
-    tracemalloc.start()
-    try:
-        block = oracle._wc_section(*args, rows=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert block.tolist() == [[1.0] + [0.0] * d]
-    assert peak <= 4 * 2**20
+    dense = 1e-3 * np.random.default_rng(503).standard_normal((d, d))
+    for B in (np.zeros((d, d)), dense):
+        args = (1.0, np.zeros(d), B, np.zeros(d), 1)
+        tracemalloc.start()
+        try:
+            block = oracle._wc_section(*args, rows=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block.tolist() == [[1.0] + [0.0] * d]
+        assert peak <= 4 * 2**20
+
+
+def test_runs_closed_form_equals_column_scan():
+    # every shape the caps admit with d <= 12, and three wide ones
+    shapes = [(d, N) for d in range(1, 13) for N in range(MAX_TRUNC_DEGREE + 1)
+              if math.comb(N + d, d) <= MAX_TRUNC_BASIS]
+    assert len(shapes) == 148
+    for d, N in shapes + [(25, 3), (89, 2), (600, 1)]:
+        assert _tables(d, N).runs == ref_runs(d, N), (d, N)
+
+
+def test_refused_cross_check_builds_no_tables():
+    # rho = sqrt(d) ||w|| = 3000 makes the tail bound far above tol
+    d = 300
+    oracle._TABLES.pop((d, 1), None)
+    S = WcSymbol(1.0, np.zeros(d), np.eye(d), np.zeros(d))
+    with pytest.raises(PreconditionError, match="^truncation tail bound "):
+        cross_check(S, 10.0 * np.ones(d), 1)
+    assert (d, 1) not in oracle._TABLES
 
 
 def test_kernel_coeff_vector_examples():
