@@ -18,9 +18,11 @@ remainder-controlled matrix exponential with the companion phi-functions
 
 grouped eigendecompositions for Hermitian and normal matrices, and the
 operator norm.  All functions are pure and never mutate their inputs.
-Every scalar c e^x of the package is one ``times_exp``, the one place that
-decides where the powers of two (``frexp``) of c or of its factors join x;
-``ldexp`` scales back by a power of two, also one past the doubles.
+Every scalar c e^x of the package is one ``times_exp`` of c's factors: the
+plain product where e^x and the factors' running products are normal
+doubles and it is finite, else ``fold``, the one step that takes a scalar
+coefficient's powers of two (``frexp``) out; ``ldexp`` scales back by a
+power of two, also one past the doubles.
 Every structure residual of a matrix X comes from one table (X, X - X*,
 X - X^t, X^t - X, X X* - X* X, X X* - I, X* X - I): a check names its forms
 and its matrix, ``_residual_norms(Q, "Q", "X - X*")``, gets their norms
@@ -86,8 +88,11 @@ _EXPM_MAX_NORM = 2.0 ** 50
 _EXPM_FINITE_NORM = 700.0
 # e^x rounds to zero for x below this: half the least subnormal is e^-745.13
 _EXP_UNDERFLOW = -746.0
-# largest x with e^x finite in double precision
-_EXP_MAX = math.log(float(np.finfo(np.float64).max))
+# the least normal double; e^x is a normal double for x in [_EXP_TINY, _EXP_MAX]
+_TINY = float(np.finfo(np.float64).tiny)
+_EXP_TINY, _EXP_MAX = math.log(_TINY), math.log(float(np.finfo(np.float64).max))
+# log 2 in two parts, n _LN2_HI exact for |n| < 2**21
+_LN2_HI, _LN2_LO = float.fromhex("0x1.62e42feep-1"), float.fromhex("0x1.a39ef35793c76p-33")
 # Paterson-Stockmeyer tables (q, C) of expm, keyed by the Taylor degree
 _PS_TABLES: dict[int, tuple[int, np.ndarray]] = {}
 
@@ -148,31 +153,42 @@ def frexp(z):
     return (m if isinstance(z, np.ndarray) else complex(m)), k
 
 
+def fold(factors: tuple) -> tuple[complex, int]:
+    """(m, k), m 2**k the product of ``factors`` and m's larger part in
+    [1/2, 1): each factor's power of two (``frexp``) comes out first."""
+    mantissas, powers = zip(*map(frexp, factors))
+    m, k = frexp(math.prod(mantissas[1:], start=mantissas[0]))
+    return m, sum(powers) + k
+
+
 def times_exp(factors: tuple, expo: complex, what: str) -> complex:
     """c e^expo for c the product of ``factors``, in Python complex
-    arithmetic; ``ValueError`` naming ``what`` where it is not finite, and
-    exp is never called where it would overflow.  Where the plain product
-    with a nonzero c is not finite, c, or each factor where c is 0 or not
-    finite, is scaled by its power of two (``frexp``), and the powers join
-    expo as a multiple of log 2.  A zero factor gives 0 for every finite
-    expo."""
+    arithmetic; ``ValueError`` naming ``what`` where it is not finite, with
+    no warning.  The plain product, one multiply by one exp, is kept where
+    e^expo is a normal double, no running product of two or more factors
+    rounds below the least normal double and the value is finite.  Else
+    m 2**k = ``fold(factors)``, e^expo 2**k = e^r 2**n with Re r within
+    log(2)/2 and exact to its last bits, and ``math.ldexp`` rounds each part
+    of m e^r once.  A zero factor gives 0 for every finite expo."""
     # in order, as written out: start=1 could flip the sign of a zero part
-    c = math.prod(factors[1:], start=factors[0])
-    if c and cmath.isfinite(expo) and expo.real <= _EXP_MAX:
+    c, normal = factors[0], _EXP_TINY <= expo.real <= _EXP_MAX
+    for f in factors[1:]:
+        c *= f
+        normal = normal and abs(c.real) + abs(c.imag) >= _TINY  # abs(c) can overflow
+    if normal and c and cmath.isfinite(expo):
         value = c * complex(np.exp(expo))
         if cmath.isfinite(value):
             return value
-    if c and cmath.isfinite(c):
-        factors = (c,)
-    mantissas, powers = zip(*map(frexp, factors))
-    c, k = frexp(math.prod(mantissas[1:], start=mantissas[0]))
-    shifted = expo + (sum(powers) + k) * math.log(2.0)
-    if cmath.isfinite(shifted) and shifted.real <= _EXP_MAX:
-        value = c * complex(np.exp(shifted))
-        if cmath.isfinite(value):
-            return value
-    if c == 0 and cmath.isfinite(expo):  # a zero factor: 0 e^x is 0, also past 709
-        return c
+    if cmath.isfinite(expo):
+        m, k = fold(factors)
+        # past |x| = 2**20 the value is 0 or overflows, whatever m and k are
+        x = max(-2.0 ** 20, min(expo.real, 2.0 ** 20))
+        n = round(x / _LN2_HI)
+        v = m * cmath.exp(complex(x - n * _LN2_HI - n * _LN2_LO, expo.imag))
+        try:  # past the doubles math.ldexp raises OverflowError; 0 stays 0
+            return complex(math.ldexp(v.real, n + k), math.ldexp(v.imag, n + k))
+        except OverflowError:
+            pass
     raise ValueError(f"{what} is not finite: exponent {expo:.6g}")
 
 

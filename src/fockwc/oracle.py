@@ -10,12 +10,14 @@ and kernel points, so ``apply_symbol`` and ``apply_conjugation`` are one
 batch call each.  A defect checks its point set once, as one finite (m, d)
 array.  The defects are ratios: ``_scaled`` gives both sides one shift
 e^{-c} that keeps every entry at most 1, so they stay finite wherever E is,
-far past |<q, w>| = 709 where e^{<q, w>} alone overflows, after an exact
-power of two (``linalg.frexp``) brings a coefficient far from 1 (a
-subnormal theta, or one whose modulus overflows) near it.  ``inner`` and
-``apply_symbol`` reach ``linalg.times_exp`` only where their plain NumPy
-value is not finite.  The two sides of the J-symmetry form are one Gram
-matrix and its transpose, so that defect takes one exponential.  Engine two
+far past |<q, w>| = 709 where e^{<q, w>} alone overflows, after
+``linalg.fold`` takes the powers of two out of a coefficient far from 1
+(a subnormal theta, one whose modulus overflows, or a theta conj(c) that
+underflows to zero).  ``inner`` and ``apply_symbol`` reach
+``linalg.times_exp`` only where their plain NumPy value is not finite or
+an exponential in it is not a normal double, ``times_exp``'s own rule.
+The two sides of the J-symmetry form are one Gram matrix and its
+transpose, so that defect takes one exponential.  Engine two
 builds finite sections of the operators on the orthonormal monomial basis
 ``e_alpha = z^alpha/sqrt(alpha!)`` up to a total degree, by purely
 combinatorial series expansion (never quadrature).  Closed-form identities
@@ -59,8 +61,8 @@ from .conjugation import ConjugationParams, require_valid, symbol_of
 from .conjugation import apply_to_kernel  # noqa: F401  wrapped here by benchmarks/tracing.py
 from .errors import DegreeCapError, PreconditionError
 from .linalg import (
-    DEFAULT_TOL, _as_complex_array, as_scalar, as_vector, fields_equal, freeze, frexp,
-    op_norm, owned, times_exp,
+    DEFAULT_TOL, _EXP_TINY, _TINY, _as_complex_array, as_scalar, as_vector, fields_equal,
+    fold, freeze, frexp, op_norm, owned, times_exp,
 )
 from .polynomials import MPoly, mi_factorial, multi_indices
 from .symbols import ScaledKernel, WcSymbol, act_on_kernel, act_on_kernels, adjoint_symbol
@@ -138,7 +140,7 @@ class KernelCombo:
 
     @np.errstate(over="ignore", invalid="ignore")
     def scale(self, a) -> "KernelCombo":
-        coeffs = complex(a) * self.coeffs
+        coeffs = as_scalar(a, "scale") * self.coeffs
         return owned(KernelCombo, dim=self.dim, coeffs=coeffs, points=self.points)
 
     def __add__(self, other: "KernelCombo") -> "KernelCombo":
@@ -188,8 +190,9 @@ def inner(F: KernelCombo, G: KernelCombo) -> complex:
     """Fock inner product of kernel combinations via reproducing property.
 
     <sum_i c_i K_{w_i}, sum_j d_j K_{z_j}> = sum_ij c_i conj(d_j) e^{<z_j, w_i>}.
-    Where it is not finite, each side's coefficients are scaled by their
-    power of two (``frexp``), and e^{max Re E} leaves the sum for ``times_exp``.
+    The plain sum is kept where it is finite and e^{max Re E} is a normal
+    double; elsewhere each side's coefficients are scaled by their power of
+    two (``frexp``), and e^{max Re E} leaves the sum for ``times_exp``.
     """
     if F.dim != G.dim:
         raise ValueError("kernel combo dimensions differ")
@@ -197,22 +200,26 @@ def inner(F: KernelCombo, G: KernelCombo) -> complex:
     # an overflowing kernel value surfaces as the ValueError, never as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         value = complex(F.coeffs @ np.exp(E) @ np.conj(G.coeffs))
-    if cmath.isfinite(value):
+    top = float(E.real.max()) if E.size else 0.0  # no kernel: the sum is 0
+    if cmath.isfinite(value) and top >= _EXP_TINY:
         return value
-    (f, kf), (g, kg), top = frexp(F.coeffs), frexp(G.coeffs), float(E.real.max())
+    (f, kf), (g, kg) = frexp(F.coeffs), frexp(G.coeffs)
     value = complex(f @ np.exp(E - top) @ np.conj(g))
     return times_exp((value,), top + (kf + kg) * math.log(2.0), "inner product")
 
 
 def apply_symbol(S: WcSymbol, F: KernelCombo) -> KernelCombo:
     """Apply C_S termwise, c_i K_{w_i} -> c_i C_S K_{w_i}, in one batch;
-    a coefficient that is not finite so is formed again by ``times_exp``."""
+    a coefficient that is not finite so, or whose e^expo or theta e^expo is
+    not a normal double, is formed again by ``times_exp``."""
     if S.dim != F.dim:
         raise ValueError("symbol and combo dimensions differ")
     expo, points = act_on_kernels(S, F.points)
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = F.coeffs * (S.theta * np.exp(expo))
-    for i in np.flatnonzero(~np.isfinite(coeffs)).tolist():
+        theta_e = S.theta * np.exp(expo)
+        coeffs = F.coeffs * theta_e
+    redo = ~np.isfinite(coeffs) | (expo.real < _EXP_TINY) | (np.abs(theta_e) < _TINY)
+    for i in np.flatnonzero(redo).tolist():
         coeffs[i] = times_exp((complex(F.coeffs[i]), S.theta), complex(expo[i]),
                               "kernel combo coefficient")
     return owned(KernelCombo, dim=F.dim, coeffs=coeffs, points=points)
@@ -249,16 +256,16 @@ def _stack_points(points, dim: int) -> np.ndarray:
 # an exponent far below c gives -inf, whose exp is 0
 @np.errstate(over="ignore")
 def _scaled(*sides) -> tuple[list, float]:
-    """Each side coeff exp(E) times e^{-c}, c = max(0, max Re E + log|coeff|)
-    over all sides, and c: no entry exceeds 1.  A coeff outside
-    [2^-900, 2^900] is first scaled by the exact 2^-k, k the exponent of its
-    larger part, and k log 2 joins its exponents, so that no exp overflows
+    """Each side coeff exp(E) times e^{-c}, coeff the product of the side's
+    factors, c = max(0, max Re E + log|coeff|) over all sides, and c: no
+    entry exceeds 1.  A coeff outside [2^-900, 2^900], 0 too, is ``fold``ed
+    into m 2^k, and k log 2 joins its exponents, so that no exp overflows
     before the product."""
     terms = []
-    for coeff, E in sides:
-        k = 0
+    for factors, E in sides:
+        coeff, k = math.prod(factors[1:], start=factors[0]), 0
         if not 2.0 ** -900 <= max(abs(coeff.real), abs(coeff.imag)) <= 2.0 ** 900:
-            coeff, k = frexp(coeff)
+            coeff, k = fold(factors)
         terms.append((coeff, E, k * math.log(2.0)))
     c = max(0.0, *(float(E.real.max()) + log2k + math.log(abs(coeff))
                    for coeff, E, log2k in terms))
@@ -291,8 +298,8 @@ def pairing_defect(S: WcSymbol, T: WcSymbol, points) -> float:
     a_S, P_S = act_on_kernels(S, Z)
     a_T, P_T = act_on_kernels(T, Z)
     (lhs, rhs), c = _scaled(
-        (S.theta, _log_gram(a_S, P_S, 0.0, Z)),
-        (np.conj(T.theta), _log_gram(0.0, Z, a_T, P_T)),
+        ((S.theta,), _log_gram(a_S, P_S, 0.0, Z)),
+        ((np.conj(T.theta),), _log_gram(0.0, Z, a_T, P_T)),
     )
     return _relative_defect(lhs, rhs, c)
 
@@ -318,12 +325,8 @@ def j_symmetry_defect(S: WcSymbol, J: ConjugationParams, points,
     a_S, P_S = act_on_kernels(S, Z)
     a_J, P_J = act_on_kernels(S_J, np.conj(Z))  # J K_z = C_{S_J} K_{conj(z)}
     E = _log_gram(a_S, P_S, a_J, P_J)
-    coeff = S.theta * np.conj(S_J.theta)
-    if coeff == 0:  # the shift takes its log
-        log_mag = math.log(abs(S.theta)) + math.log(abs(S_J.theta))
-        raise ValueError(f"theta * conj(c) underflows to zero: log-magnitude {log_mag:.6g}")
-    # the other side, coeff exp(E^t), is this one's transpose, entry for entry
-    (lhs,), c = _scaled((coeff, E))
+    # the other side, theta conj(c) exp(E^t), is this one's transpose, entry for entry
+    (lhs,), c = _scaled(((S.theta, np.conj(S_J.theta)), E))
     return _relative_defect(lhs, lhs.T, c)
 
 

@@ -176,18 +176,16 @@ def validate_J_conditions(
     """Residuals of the parameter conditions for a J-selfadjoint semigroup:
 
         (A Omega)^t = A Omega,
-        Omega* l* = conj(A Omega q*) - (Omega*)^2 conj(b).
+        Omega* l* = conj(A Omega q*) - (Omega*)^2 conj(b),
+        l* = conj(A q*) - Omega* conj(b)                  ("first_order"),
 
-    The verdict checks exactly those two displayed conditions, so it decides
-    J-selfadjointness only for invertible Omega.  A third diagnostic,
-    "first_order", reports || l* - conj(A q*) + Omega* conj(b) ||: it is the
-    first t-derivative of the selfadjointness identity, and once
-    (A Omega)^t = A Omega holds the second condition is Omega* times it, so
-    for invertible Omega the two are equivalent.  It is not part of the
-    verdict: for singular Omega the verdict can be True for a family that is
-    not J-selfadjoint, as Omega = diag(1, 0), q* = (0.2, 0.3),
-    l* = (0.2, 0.9) under ``identity_conjugation(2)``, where "first_order"
-    is 0.6.  J is validated at ``tol``.
+    and the verdict that all three hold.  The third is the first
+    t-derivative of the selfadjointness identity; once (A Omega)^t = A Omega
+    holds the second is Omega* times it, so for invertible Omega the two are
+    equivalent, and for singular Omega only the third decides: Omega =
+    diag(1, 0), q* = (0.2, 0.3), l* = (0.2, 0.9) under
+    ``identity_conjugation(2)`` satisfies the first two, with "first_order"
+    0.6, and is not J-selfadjoint.  J is validated at ``tol``.
     """
     require_valid(J, tol)
     if P.dim != J.dim:
@@ -202,12 +200,12 @@ def validate_J_conditions(
             np.conj(AOm @ P.q_star) - Om_ad @ (Om_ad @ bbar)
         )
         first = P.ell_star - (np.conj(J.A @ P.q_star) - Om_ad @ bbar)
-        verdict = {
+        residuals = {
             "AOmega_symmetric": _residual_norms(AOm, "AOmega", "X^t - X")[0],
             "ell_condition": float(np.linalg.norm(second)),
+            "first_order": float(np.linalg.norm(first)),
         }
-        first_order = float(np.linalg.norm(first))
-    return residuals_within(verdict, tol), {**verdict, "first_order": first_order}
+    return residuals_within(residuals, tol), residuals
 
 
 def check_laws(

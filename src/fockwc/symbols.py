@@ -18,8 +18,10 @@ immutable.  The operations build their results by
 ``WcSymbol._owned`` (``linalg.owned``), without the public constructor's
 coercion and copy but with its checks on theta and on finiteness.  Each
 c e^x, the theta of a product or of J C J, psi(z), a kernel value or image
-coefficient, is ``linalg.times_exp`` of its factors.  A new theta that
-underflows to zero raises a ``ValueError`` that names it.
+coefficient, is ``linalg.times_exp`` of its factors: the plain product
+where e^x and the factors' running products are normal doubles and the
+value is finite, else the folded factors.  A new theta that underflows to
+zero raises a ``ValueError`` that names it.
 """
 
 from __future__ import annotations
@@ -152,7 +154,8 @@ def compose(S1: WcSymbol, S2: WcSymbol) -> WcSymbol:
         (theta1 theta2 e^{<q1, ell2>},  ell1 + Q1* ell2,  Q2 Q1,  Q2 q1 + q2).
 
     theta1 and theta2 are the factors of ``times_exp``: a theta that is an
-    ordinary double is formed where their product underflows to zero.
+    ordinary double is formed where their product, or e^{<q1, ell2>},
+    leaves the normal doubles.
     """
     if S1.dim != S2.dim:
         raise ValueError("compose requires symbols of equal dimension")

@@ -6,7 +6,9 @@ defining conditions themselves (projections and explicit solves), never by
 calling the code under test.
 """
 
+import cmath
 import math
+from decimal import Decimal, localcontext
 from itertools import groupby
 
 import numpy as np
@@ -530,6 +532,24 @@ def ref_apply_conjugation(J, F):
 def ref_combo_value(F, x):
     """``KernelCombo.__call__`` as it was: the sum of the term values."""
     return complex(sum(t(x) for t in F.terms))
+
+
+def ref_times_exp(factors, x):
+    """(c e^x, |c e^x|) for c the product of ``factors``: the modulus in
+    ``decimal`` at 50 digits from the exact value of each part, the phase
+    by ``cmath``, and each part of the value rounded once from them, also
+    below the least normal double.  The modulus is the ``Decimal`` itself,
+    so it is exact past the largest double too."""
+    x = complex(x)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        modulus = Decimal(x.real).exp()
+        for f in map(complex, factors):
+            modulus *= (Decimal(f.real) ** 2 + Decimal(f.imag) ** 2).sqrt()
+        phase = x.imag + sum(cmath.phase(complex(f)) for f in factors)
+        value = complex(float(modulus * Decimal(math.cos(phase))),
+                        float(modulus * Decimal(math.sin(phase))))
+    return value, modulus
 
 
 # --- structure residuals as each check wrote them before linalg's table -------

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import ref_times_exp
 
 from fockwc import (
     SemigroupParams,
@@ -98,11 +99,12 @@ def test_a_tiny_coefficient_times_an_exponential_past_709_is_finite():
 
     want = math.exp(math.log(1e-320) + 720.0)
     psi, _ = evaluate(WcSymbol(1e-320, [1.0], [[0.5]], [0.0]), [720.0])
-    assert psi == pytest.approx(want, rel=1e-12)
-    assert ScaledKernel(1e-320, [1.0])([720.0]) == pytest.approx(want, rel=1e-12)
-    # theta1 theta2 = 1e-320 is subnormal and <q1, ell2> = 720
+    assert psi == pytest.approx(want, rel=1e-12, abs=0)
+    assert ScaledKernel(1e-320, [1.0])([720.0]) == pytest.approx(want, rel=1e-12, abs=0)
+    # theta1 theta2 rounds to the subnormal 1e-320, 1.1e-5 from the exact
+    # product, and <q1, ell2> = 720
     S = compose(WcSymbol(1e-160, [0.0], [[0.5]], [1.0]), WcSymbol(1e-160, [720.0], [[0.5]], [0.0]))
-    assert S.theta == pytest.approx(math.exp(math.log(1e-160 * 1e-160) + 720.0), rel=1e-12)
+    assert S.theta == pytest.approx(ref_times_exp((1e-160, 1e-160), 720.0)[0], rel=1e-12, abs=0)
     # a product that overflows after the scaling still names the exponent
     with pytest.raises(ValueError, match=r"^psi\(z\) is not finite: exponent 2000\+0j$"):
         evaluate(WcSymbol(1e-300, [1.0], [[0.5]], [0.0]), [2000.0])

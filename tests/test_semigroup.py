@@ -105,7 +105,10 @@ def test_validate_J_conditions_examples():
     J = rand_valid_conjugation(rng, 2)
     P = SemigroupParams(np.zeros((2, 2)), crandn(rng, 2), np.zeros(2), 0.3)
     ok, _ = validate_J_conditions(P, J)
-    assert ok  # Omega = 0, l* = 0: both displayed conditions vanish
+    # Omega = 0, l* = 0: both displayed conditions vanish, but l* is not
+    # conj(A q*), and the family is not J-selfadjoint
+    assert not ok
+    assert check_J_selfadjoint(symbol_at(P, 0.5), J)[0] is False
 
     # J=(I,0,1), d=1: condition reduces to conj(Om) l* = conj(Om q*)
     from fockwc import identity_conjugation

@@ -2,17 +2,20 @@
 an ordinary double is formed wherever a factor is tiny or e^x alone
 overflows, at every site, and one that truly overflows is named."""
 
+import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
+from helpers import ref_times_exp
 
 from fockwc import ConjugationParams, WcSymbol, conjugate_by_J, linalg
 from fockwc.conjugation import apply_to_kernel
 from fockwc.oracle import KernelCombo, apply_conjugation, apply_symbol, cross_check, inner
 from fockwc.oracle import trunc_symbol_matrix
 from fockwc.polynomials import monomials_of_degree
-from fockwc.symbols import ScaledKernel, act_on_kernel
+from fockwc.symbols import ScaledKernel, act_on_kernel, compose, evaluate
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -70,10 +73,12 @@ def test_times_exp_folds_only_where_the_plain_product_is_not_an_ordinary_value()
     # plain: one Python complex product with one exp, subnormal or not
     c, x = 0.5 - 0.25j, 3.0 + 1.0j
     assert linalg.times_exp((c,), x, "v") == c * complex(np.exp(x))
-    assert linalg.times_exp((1e-160, 1e-160), 7.0, "v") == 1e-160 * 1e-160 * complex(np.exp(7.0))
-    # past 709 a product that is a double, subnormal too, is folded as rounded
-    assert linalg.times_exp((1e-160, 1e-160), 720.0, "v") == linalg.times_exp(
-        (1e-160 * 1e-160,), 720.0, "v")
+    # a running product below the least normal double has lost digits: the
+    # factors are folded, past 709 and at 7, where the value is subnormal
+    want, _ = ref_times_exp((1e-160, 1e-160), 720.0)
+    assert abs(linalg.times_exp((1e-160, 1e-160), 720.0, "v") - want) <= 1e-12 * abs(want)
+    want, _ = ref_times_exp((1e-160, 1e-160), 7.0)
+    assert abs(linalg.times_exp((1e-160, 1e-160), 7.0, "v") - want) <= 2.0 ** -1074
     # where it underflows to zero, each factor is folded
     assert linalg.times_exp((1e-170, 1e-170), 800.0, "v") == pytest.approx(
         math.exp(2.0 * math.log(1e-170) + 800.0), rel=1e-12)
@@ -127,3 +132,59 @@ def test_a_thousand_variables_do_not_recurse():
         cross_check(S, np.zeros(1000), 1)
     except ValueError:
         pass
+
+
+_TINY, _MAX = sys.float_info.min, sys.float_info.max
+
+
+def test_times_exp_against_the_exact_reference():
+    # 1 to 3 factors of modulus 10^U(-320, 308), Re x ~ U(-1500, 1500): a
+    # value with a part past the largest double is the named ValueError, any
+    # other is within 1e-12 relative, or within 4 subnormal steps below tiny
+    rng = np.random.default_rng(3405)
+    for _ in range(5000):
+        factors = tuple(cmath.rect(10.0 ** rng.uniform(-320, 308), rng.uniform(-math.pi, math.pi))
+                        for _ in range(int(rng.integers(1, 4))))
+        x = complex(rng.uniform(-1500, 1500), rng.uniform(-4, 4))
+        want, modulus = ref_times_exp(factors, x)
+        draw = (factors, x)
+        if not cmath.isfinite(want):
+            with pytest.raises(ValueError, match=r"^v is not finite: exponent "):
+                linalg.times_exp(factors, x, "v")
+        elif modulus < _TINY:
+            assert abs(linalg.times_exp(factors, x, "v") - want) <= 4 * 2.0 ** -1074, draw
+        else:
+            assert abs(linalg.times_exp(factors, x, "v") - want) <= 1e-12 * float(modulus), draw
+
+
+def test_times_exp_forms_a_value_near_the_largest_double():
+    # |c e^x| = 1.534e308: the fold's mantissa lies in [1/2, 1), so its own
+    # e^{x + k log 2} would pass the largest double; e^r 2**n does not
+    factors, x = (2.43e-192 - 2.05e-192j, -9.59e-90 + 3.60e-90j), 1355.47 + 2.84j
+    want, modulus = ref_times_exp(factors, x)
+    assert 1.53e308 < modulus < 1.54e308
+    assert abs(linalg.times_exp(factors, x, "v") - want) <= 1e-12 * float(modulus)
+
+
+def test_an_exponential_below_the_normal_doubles_is_folded_at_every_site():
+    # e^-1000 and e^-800 underflow to 0, while 1e300 e^-1000 and
+    # 1e300 e^-800 are ordinary doubles: no site returns 0 or refuses
+    want, _ = ref_times_exp((1e300,), -1000.0)
+    S = WcSymbol(1e300, [0.0], [[0.5]], [1.0])
+    F = KernelCombo(1, [1.0], [[-1000.0]])
+    for got in (ScaledKernel(1e300, [1.0])([-1000.0]),
+                evaluate(WcSymbol(1e300, [1.0], [[0.5]], [0.0]), [-1000.0])[0],
+                act_on_kernel(S, [-1000.0]).coeff,
+                inner(KernelCombo(1, [1e300], [[-1000.0]]), KernelCombo(1, [1.0], [[1.0]])),
+                KernelCombo(1, [1e300], [[1.0]])([-1000.0]),
+                apply_symbol(S, F).coeffs[0]):
+        assert abs(got - want) <= 1e-12 * abs(want), got
+    want, _ = ref_times_exp((1e200, 1e100), -800.0)
+    got = compose(WcSymbol(1e200, [0.0], [[0.5]], [1.0]), WcSymbol(1e100, [-800.0], [[0.5]], [0.0]))
+    assert abs(got.theta - want) <= 1e-12 * abs(want)
+
+
+def test_conjugating_by_a_subnormal_c_squared_keeps_every_digit():
+    # |c|^2 = e^-729 is subnormal, and J C J of the identity is the identity
+    J = ConjugationParams([[-1.0]], [27.0], math.exp(-364.5))
+    assert abs(conjugate_by_J(_IDENTITY, J).theta - 1.0) <= 1e-12
