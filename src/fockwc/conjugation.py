@@ -39,7 +39,7 @@ from .linalg import (
 )
 # unused here, but kept as a module attribute that benchmarks/tracing.py wraps
 from .linalg import op_norm  # noqa: F401
-from .symbols import ScaledKernel, WcSymbol, _theta_times_exp, act_on_kernels
+from .symbols import ScaledKernel, WcSymbol, _modulus, _theta_times_exp, act_on_kernels
 from .symbols import adjoint_symbol
 
 __all__ = [
@@ -73,7 +73,7 @@ def identity_conjugation(d: int) -> ConjugationParams:
 
 def _validity_residuals(J: ConjugationParams) -> dict:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_scale = 2.0 * np.log(abs(J.c)) + np.linalg.norm(J.b) ** 2
+        log_scale = 2.0 * np.log(_modulus(J.c)) + np.linalg.norm(J.b) ** 2
         scalar = abs(float(np.expm1(log_scale)))
         vector = float(np.linalg.norm(J.A @ np.conj(J.b) + J.b))
     return {

@@ -20,9 +20,10 @@ grouped eigendecompositions for Hermitian and normal matrices, and the
 operator norm.  All functions are pure and never mutate their inputs.
 Every scalar c e^x of the package is one ``times_exp`` of c's factors: the
 plain product where e^x and the factors' running products are normal
-doubles and it is finite, else ``fold``, the one step that takes a scalar
-coefficient's powers of two (``frexp``) out; ``ldexp`` scales back by a
-power of two, also one past the doubles.
+doubles and it is finite, else ``fold_exp``, the one step that takes a
+scalar coefficient's powers of two (``frexp``) out and joins them to e^x as
+v 2^p, with log 2 in two parts; ``ldexp`` scales back by a power of two,
+also one past the doubles.
 Every structure residual of a matrix X comes from one table (X, X - X*,
 X - X^t, X^t - X, X X* - X* X, X X* - I, X* X - I): a check names its forms
 and its matrix, ``_residual_norms(Q, "Q", "X - X*")``, gets their norms
@@ -153,12 +154,17 @@ def frexp(z):
     return (m if isinstance(z, np.ndarray) else complex(m)), k
 
 
-def fold(factors: tuple) -> tuple[complex, int]:
-    """(m, k), m 2**k the product of ``factors`` and m's larger part in
-    [1/2, 1): each factor's power of two (``frexp``) comes out first."""
+def fold_exp(factors: tuple, x: complex) -> tuple[complex, int]:
+    """(v, p), v 2**p = c e^x for c the product of ``factors``: each factor's
+    power of two (``frexp``) comes out, the mantissas are multiplied, and
+    e^x 2**k is written e^r 2**n with Re r within log(2)/2 and exact to its
+    last bits (log 2 in two parts), so that |v| < 2 unless c is 0.  Re x is
+    clipped to [-2**20, 2**20]: past it c e^x is 0 or overflows."""
     mantissas, powers = zip(*map(frexp, factors))
     m, k = frexp(math.prod(mantissas[1:], start=mantissas[0]))
-    return m, sum(powers) + k
+    xr = max(-2.0 ** 20, min(x.real, 2.0 ** 20))
+    n = round(xr / _LN2_HI)
+    return m * cmath.exp(complex(xr - n * _LN2_HI - n * _LN2_LO, x.imag)), sum(powers) + k + n
 
 
 def times_exp(factors: tuple, expo: complex, what: str) -> complex:
@@ -167,9 +173,8 @@ def times_exp(factors: tuple, expo: complex, what: str) -> complex:
     no warning.  The plain product, one multiply by one exp, is kept where
     e^expo is a normal double, no running product of two or more factors
     rounds below the least normal double and the value is finite.  Else
-    m 2**k = ``fold(factors)``, e^expo 2**k = e^r 2**n with Re r within
-    log(2)/2 and exact to its last bits, and ``math.ldexp`` rounds each part
-    of m e^r once.  A zero factor gives 0 for every finite expo."""
+    ``math.ldexp`` rounds each part of ``fold_exp(factors, expo)`` once.
+    A zero factor gives 0 for every finite expo."""
     # in order, as written out: start=1 could flip the sign of a zero part
     c, normal = factors[0], _EXP_TINY <= expo.real <= _EXP_MAX
     for f in factors[1:]:
@@ -180,13 +185,9 @@ def times_exp(factors: tuple, expo: complex, what: str) -> complex:
         if cmath.isfinite(value):
             return value
     if cmath.isfinite(expo):
-        m, k = fold(factors)
-        # past |x| = 2**20 the value is 0 or overflows, whatever m and k are
-        x = max(-2.0 ** 20, min(expo.real, 2.0 ** 20))
-        n = round(x / _LN2_HI)
-        v = m * cmath.exp(complex(x - n * _LN2_HI - n * _LN2_LO, expo.imag))
+        v, p = fold_exp(factors, expo)
         try:  # past the doubles math.ldexp raises OverflowError; 0 stays 0
-            return complex(math.ldexp(v.real, n + k), math.ldexp(v.imag, n + k))
+            return complex(math.ldexp(v.real, p), math.ldexp(v.imag, p))
         except OverflowError:
             pass
     raise ValueError(f"{what} is not finite: exponent {expo:.6g}")

@@ -8,14 +8,13 @@ conjugating them, so each kernel-span quantity is one Gram matrix exp(E) of
 an exponent matrix E.  A ``KernelCombo`` is two frozen arrays, coefficients
 and kernel points, so ``apply_symbol`` and ``apply_conjugation`` are one
 batch call each.  A defect checks its point set once, as one finite (m, d)
-array.  The defects are ratios: ``_scaled`` gives both sides one shift
-e^{-c} that keeps every entry at most 1, so they stay finite wherever E is,
-far past |<q, w>| = 709 where e^{<q, w>} alone overflows, after
-``linalg.fold`` takes the powers of two out of a coefficient far from 1
-(a subnormal theta, one whose modulus overflows, or a theta conj(c) that
-underflows to zero).  ``inner`` and ``apply_symbol`` reach
-``linalg.times_exp`` only where their plain NumPy value is not finite or
-an exponential in it is not a normal double, ``times_exp``'s own rule.
+array.  The defects are ratios: ``_scaled`` gives both sides one scale
+that keeps every entry below 2, so they stay finite wherever E is, far past
+|<q, w>| = 709 where e^{<q, w>} alone overflows, by ``linalg.fold_exp`` for
+a coefficient far from 1 (a subnormal theta, one whose modulus overflows, a
+theta conj(c) that underflows).  ``inner`` and ``apply_symbol`` keep their
+plain NumPy values where each term meets ``linalg.times_exp``'s rule, else
+``inner`` sums its terms' ``fold_exp`` and ``apply_symbol`` calls ``times_exp``.
 The two sides of the J-symmetry form are one Gram matrix and its
 transpose, so that defect takes one exponential.  Engine two
 builds finite sections of the operators on the orthonormal monomial basis
@@ -62,10 +61,10 @@ from .conjugation import apply_to_kernel  # noqa: F401  wrapped here by benchmar
 from .errors import DegreeCapError, PreconditionError
 from .linalg import (
     DEFAULT_TOL, _EXP_TINY, _TINY, _as_complex_array, as_scalar, as_vector, fields_equal,
-    fold, freeze, frexp, op_norm, owned, times_exp,
+    fold_exp, freeze, ldexp, op_norm, owned, times_exp,
 )
 from .polynomials import MPoly, mi_factorial, multi_indices
-from .symbols import ScaledKernel, WcSymbol, act_on_kernel, act_on_kernels, adjoint_symbol
+from .symbols import ScaledKernel, WcSymbol, _modulus, act_on_kernel, act_on_kernels, adjoint_symbol
 
 __all__ = [
     "KernelCombo",
@@ -190,22 +189,31 @@ def inner(F: KernelCombo, G: KernelCombo) -> complex:
     """Fock inner product of kernel combinations via reproducing property.
 
     <sum_i c_i K_{w_i}, sum_j d_j K_{z_j}> = sum_ij c_i conj(d_j) e^{<z_j, w_i>}.
-    The plain sum is kept where it is finite and e^{max Re E} is a normal
-    double; elsewhere each side's coefficients are scaled by their power of
-    two (``frexp``), and e^{max Re E} leaves the sum for ``times_exp``.
+    The plain sum is kept where it meets ``times_exp``'s rule term by term:
+    every e^{E_ij}, and c_i e^{E_ij} for c_i != 0, is a normal double, and
+    the sum is finite.  Else the nonzero terms' ``fold_exp`` v 2^p are
+    summed at the largest p, and the sum is scaled back once.
     """
     if F.dim != G.dim:
         raise ValueError("kernel combo dimensions differ")
     E = _log_gram(0.0, F.points, 0.0, G.points)
     # an overflowing kernel value surfaces as the ValueError, never as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        value = complex(F.coeffs @ np.exp(E) @ np.conj(G.coeffs))
-    top = float(E.real.max()) if E.size else 0.0  # no kernel: the sum is 0
-    if cmath.isfinite(value) and top >= _EXP_TINY:
+        X = np.exp(E)
+        value = complex(F.coeffs @ X @ np.conj(G.coeffs))
+        cX = (F.coeffs[:, None] * X)[F.coeffs != 0]
+        plain = (E.real >= _EXP_TINY).all() and (np.abs(cX.real) + np.abs(cX.imag) >= _TINY).all()
+    if plain and cmath.isfinite(value):
         return value
-    (f, kf), (g, kg) = frexp(F.coeffs), frexp(G.coeffs)
-    value = complex(f @ np.exp(E - top) @ np.conj(g))
-    return times_exp((value,), top + (kf + kg) * math.log(2.0), "inner product")
+    c, d = F.coeffs.tolist(), np.conj(G.coeffs).tolist()
+    terms = [fold_exp((c[i], d[j]), complex(E[i, j]))
+             for i in np.flatnonzero(F.coeffs).tolist() for j in np.flatnonzero(G.coeffs).tolist()]
+    top = max((p for _, p in terms), default=0)
+    value = complex(sum(ldexp(v, p - top) for v, p in terms))
+    try:  # past the doubles math.ldexp raises OverflowError
+        return complex(math.ldexp(value.real, top), math.ldexp(value.imag, top))
+    except OverflowError:
+        raise ValueError("inner product is not finite") from None
 
 
 def apply_symbol(S: WcSymbol, F: KernelCombo) -> KernelCombo:
@@ -256,29 +264,32 @@ def _stack_points(points, dim: int) -> np.ndarray:
 # an exponent far below c gives -inf, whose exp is 0
 @np.errstate(over="ignore")
 def _scaled(*sides) -> tuple[list, float]:
-    """Each side coeff exp(E) times e^{-c}, coeff the product of the side's
-    factors, c = max(0, max Re E + log|coeff|) over all sides, and c: no
-    entry exceeds 1.  A coeff outside [2^-900, 2^900], 0 too, is ``fold``ed
-    into m 2^k, and k log 2 joins its exponents, so that no exp overflows
-    before the product."""
-    terms = []
-    for factors, E in sides:
-        coeff, k = math.prod(factors[1:], start=factors[0]), 0
-        if not 2.0 ** -900 <= max(abs(coeff.real), abs(coeff.imag)) <= 2.0 ** 900:
-            coeff, k = fold(factors)
-        terms.append((coeff, E, k * math.log(2.0)))
-    c = max(0.0, *(float(E.real.max()) + log2k + math.log(abs(coeff))
-                   for coeff, E, log2k in terms))
-    return [coeff * np.exp(E - (c - log2k)) for coeff, E, log2k in terms], c
+    """Each side coeff exp(E) times one scale s, coeff the product of the
+    side's factors, and s: no entry reaches 2.  Where every coeff lies in
+    [2^-900, 2^900], s = e^{-c}, c = max(0, max Re E + log|coeff|).  Else a
+    side is ``fold_exp(factors, top - T) exp(E - top)``, top its max Re E
+    and T the largest, and the 1 of 1 + max|lhs| is ``fold_exp((1,), -T)``,
+    all scaled by 2^-P, P the largest power of two."""
+    coeffs = [math.prod(factors[1:], start=factors[0]) for factors, _ in sides]
+    tops = [float(E.real.max()) for _, E in sides]
+    if all(2.0 ** -900 <= max(abs(a.real), abs(a.imag)) <= 2.0 ** 900 for a in coeffs):
+        c = max(0.0, *(top + math.log(abs(a)) for a, top in zip(coeffs, tops)))
+        return [a * np.exp(E - c) for a, (_, E) in zip(coeffs, sides)], math.exp(-c)
+    T = max(tops)  # so no exponent fold_exp sees is positive
+    folds = [fold_exp(factors, top - T) for (factors, _), top in zip(sides, tops)]
+    one, p_one = fold_exp((1.0,), -T)
+    P = max(p_one, *(p for v, p in folds if v))  # a zero side has no power of two
+    scaled = [ldexp(v * np.exp(E - top), p - P) for (v, p), (_, E), top in zip(folds, sides, tops)]
+    return scaled, math.ldexp(one.real, p_one - P)
 
 
-def _relative_defect(lhs, rhs, c: float) -> float:
-    """max|lhs - rhs| / (1 + max|lhs|) for two sides given times e^{-c}
-    (``_scaled``), evaluated as max|lhs' - rhs'| / (e^{-c} + max|lhs'|).
-    No entry then exceeds 1, so exponents past exp's overflow (709) are fine.
+def _relative_defect(lhs, rhs, scale: float) -> float:
+    """max|lhs - rhs| / (1 + max|lhs|) for two sides given times ``scale``
+    (``_scaled``), evaluated as max|lhs' - rhs'| / (scale + max|lhs'|).
+    No entry then reaches 2, so exponents past exp's overflow (709) are fine.
     """
     worst = float(np.max(np.abs(lhs - rhs)))
-    denom = math.exp(-c) + float(np.max(np.abs(lhs)))
+    denom = scale + float(np.max(np.abs(lhs)))
     ratio = worst / denom if denom > 0 else math.inf
     if not math.isfinite(ratio):
         raise ValueError("kernel defect is not finite")
@@ -297,11 +308,11 @@ def pairing_defect(S: WcSymbol, T: WcSymbol, points) -> float:
     Z = _stack_points(points, S.dim)
     a_S, P_S = act_on_kernels(S, Z)
     a_T, P_T = act_on_kernels(T, Z)
-    (lhs, rhs), c = _scaled(
+    (lhs, rhs), scale = _scaled(
         ((S.theta,), _log_gram(a_S, P_S, 0.0, Z)),
         ((np.conj(T.theta),), _log_gram(0.0, Z, a_T, P_T)),
     )
-    return _relative_defect(lhs, rhs, c)
+    return _relative_defect(lhs, rhs, scale)
 
 
 def adjoint_defect(S: WcSymbol, points) -> float:
@@ -326,8 +337,8 @@ def j_symmetry_defect(S: WcSymbol, J: ConjugationParams, points,
     a_J, P_J = act_on_kernels(S_J, np.conj(Z))  # J K_z = C_{S_J} K_{conj(z)}
     E = _log_gram(a_S, P_S, a_J, P_J)
     # the other side, theta conj(c) exp(E^t), is this one's transpose, entry for entry
-    (lhs,), c = _scaled(((S.theta, np.conj(S_J.theta)), E))
-    return _relative_defect(lhs, lhs.T, c)
+    (lhs,), scale = _scaled(((S.theta, np.conj(S_J.theta)), E))
+    return _relative_defect(lhs, lhs.T, scale)
 
 
 # --- truncated section engine ------------------------------------------------
@@ -655,7 +666,7 @@ def cross_check(S: WcSymbol, w, N: int, tol: float = 1e-8) -> float:
     bound = (
         math.sqrt(n_rows)
         * math.sqrt(math.factorial(m))
-        * abs(S.theta)
+        * _modulus(S.theta)
         * weight
         * exp_tail(rho, N)
     )

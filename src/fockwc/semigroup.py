@@ -290,21 +290,28 @@ def continuity_defect(P: SemigroupParams, w, t: float) -> float:
         ||a K_u - K_w||^2 = |a|^2 e^{|u|^2} + e^{|w|^2}
                             - 2 Re(conj(a) e^{<u, w>}),
 
-    evaluated with e^{|w|^2} factored out, so that it stays finite wherever
-    the defect itself is.  ``ValueError`` where the defect overflows.
+    evaluated with e^{|w|^2} factored out, or the larger term where that
+    overflows, so that it stays finite wherever the defect itself is.
+    ``ValueError`` where the defect overflows.
     """
     w = as_vector(w, P.dim, "w")
     img = act_on_kernel(symbol_at(P, t), w)
     a, u = img.coeff, img.point
-    w2 = pairing(w, w).real
+    w2, u2, uw = pairing(w, w).real, pairing(u, u).real, pairing(u, w)
+    shift = w2
     try:
-        scaled = (
-            abs(a) ** 2 * math.exp(pairing(u, u).real - w2)
-            + 1.0
-            - 2.0 * (a.conjugate() * cmath.exp(pairing(u, w) - w2)).real
-        )
-        root = math.sqrt(max(scaled, 0.0))
-        defect = math.exp(0.5 * w2 + math.log(root)) if root > 0.0 else 0.0
+        scaled = (abs(a) ** 2 * math.exp(u2 - w2) + 1.0
+                  - 2.0 * (a.conjugate() * cmath.exp(uw - w2)).real)
+    except OverflowError:
+        scaled = math.inf
+    if not math.isfinite(scaled):  # |a|^2 e^{|u|^2} = e^{2 Re log a + |u|^2} is larger
+        log_a = cmath.log(a) if a else complex(-math.inf)
+        shift = max(2.0 * log_a.real + u2, w2)
+        scaled = (math.exp(2.0 * log_a.real + u2 - shift) + math.exp(w2 - shift)
+                  - 2.0 * cmath.exp(log_a.conjugate() + uw - shift).real)
+    root = math.sqrt(max(scaled, 0.0))
+    try:
+        defect = math.exp(0.5 * shift + math.log(root)) if root > 0.0 else 0.0
     except OverflowError:
         defect = math.inf
     if not math.isfinite(defect):

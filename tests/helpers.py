@@ -534,22 +534,36 @@ def ref_combo_value(F, x):
     return complex(sum(t(x) for t in F.terms))
 
 
-def ref_times_exp(factors, x):
-    """(c e^x, |c e^x|) for c the product of ``factors``: the modulus in
-    ``decimal`` at 50 digits from the exact value of each part, the phase
-    by ``cmath``, and each part of the value rounded once from them, also
-    below the least normal double.  The modulus is the ``Decimal`` itself,
-    so it is exact past the largest double too."""
+def _ref_parts(factors, x):
+    """(Re, Im, modulus) of c e^x as ``Decimal``s at 50 digits: the modulus
+    from the exact value of each part, the phase by ``cmath``."""
     x = complex(x)
+    modulus = Decimal(x.real).exp()
+    for f in map(complex, factors):
+        modulus *= (Decimal(f.real) ** 2 + Decimal(f.imag) ** 2).sqrt()
+    phase = x.imag + sum(cmath.phase(complex(f)) for f in factors)
+    return modulus * Decimal(math.cos(phase)), modulus * Decimal(math.sin(phase)), modulus
+
+
+def ref_times_exp(factors, x):
+    """(c e^x, |c e^x|) for c the product of ``factors``: each part of the
+    value rounded once from ``_ref_parts``, also below the least normal
+    double.  The modulus is the ``Decimal`` itself, so it is exact past the
+    largest double too."""
     with localcontext() as ctx:
         ctx.prec = 50
-        modulus = Decimal(x.real).exp()
-        for f in map(complex, factors):
-            modulus *= (Decimal(f.real) ** 2 + Decimal(f.imag) ** 2).sqrt()
-        phase = x.imag + sum(cmath.phase(complex(f)) for f in factors)
-        value = complex(float(modulus * Decimal(math.cos(phase))),
-                        float(modulus * Decimal(math.sin(phase))))
-    return value, modulus
+        re, im, modulus = _ref_parts(factors, x)
+        return complex(float(re), float(im)), modulus
+
+
+def ref_sum_times_exp(terms):
+    """sum of c e^x over the (factors, x) of ``terms``, from the
+    ``_ref_parts`` of each, each part of the sum rounded once: ``inf``
+    where it passes the largest double."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        parts = [_ref_parts(factors, x) for factors, x in terms]
+        return complex(float(sum(p[0] for p in parts)), float(sum(p[1] for p in parts)))
 
 
 # --- structure residuals as each check wrote them before linalg's table -------

@@ -2,9 +2,10 @@
 
 Every subcommand runs in process on its valid inputs with one JSON value
 mutated: a dropped key, or a value replaced by a string, null, a nested
-list, ±1e308 or 1e-320.  Whatever the input, ``run`` must return 0, 1 or 2
-without raising (RuntimeWarning counts as raising); exit 2 writes nothing to
-stdout and an ``error:`` line to stderr, and exits 0 and 1 write strict JSON.
+list, ±1e308, 1e-320 or the complex [1.5e308, 1.5e308].  Whatever the
+input, ``run`` must return 0, 1 or 2 without raising (RuntimeWarning counts
+as raising); exit 2 writes nothing to stdout and an ``error:`` line to
+stderr, and exits 0 and 1 write strict JSON.
 """
 
 import contextlib
@@ -49,7 +50,8 @@ COMMANDS = {
     "oracle-defect": ["--in", "{S}", "--conj", "{J}", "--points", "{pts}"],
 }
 
-REPLACEMENTS = ["x", None, [[[]]], [[1.0, [2.0]]], 1e308, 1e-320, -1e308]
+# [1.5e308, 1.5e308] is a complex whose modulus overflows
+REPLACEMENTS = ["x", None, [[[]]], [[1.0, [2.0]]], 1e308, 1e-320, -1e308, [1.5e308, 1.5e308]]
 
 
 def _paths(node, prefix=()):

@@ -6,10 +6,14 @@ first, so each input gives a finite defect or the named ``ValueError``, and
 nothing warns."""
 
 import json
+import math
 
 import pytest
 
-from fockwc import WcSymbol, adjoint_defect, identity_conjugation, j_symmetry_defect
+from fockwc import (
+    WcSymbol, adjoint_defect, adjoint_symbol, identity_conjugation, j_symmetry_defect,
+    pairing_defect,
+)
 from test_cli import run_child, write
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -57,6 +61,20 @@ def test_exponents_spanning_the_range_give_the_named_error():
     with pytest.raises(ValueError, match="^kernel defect is not finite$"):
         adjoint_defect(S, WIDE_POINTS)
     assert j_symmetry_defect(S, identity_conjugation(1), WIDE_POINTS) == 0.0
+
+
+@pytest.mark.parametrize("theta", [1e-300, 1e-320], ids=["far-below-the-window", "subnormal"])
+def test_a_folded_defect_keeps_the_ratio_of_sides_past_exponent_2_to_the_20(theta):
+    """E reaches 3e6, past the 2^20 at which fold_exp clips an exponent:
+    the sides are folded after one common shift, so their ratio e^3 stays
+    and the defect is the one theta = 1 gets on the plain path, e^3 - 1 up
+    to the rounding of E near 3e6 (about 5e-10 in the exponent)."""
+    points = [[3e3], [1e3], [-2e3]]
+    got = [pairing_defect(WcSymbol(a, [0.0], [[0.5]], [1e3]),
+                          adjoint_symbol(WcSymbol(a, [0.0], [[0.5]], [1e3 + 1e-3])), points)
+           for a in (theta, 1.0)]
+    assert got[0] == pytest.approx(got[1], rel=1e-12, abs=0.0)
+    assert got[1] == pytest.approx(math.expm1(3.0), rel=1e-8, abs=0.0)
 
 
 def _symbol_json(theta, ell, Q, q):

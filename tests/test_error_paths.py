@@ -208,6 +208,42 @@ def test_cli_j_symmetry_defect_of_an_underflowing_theta_conj_c_is_zero(tmp_path,
     assert doc["verdict"] == "true" and doc["residuals"]["j_symmetry_defect"] == 0.0
 
 
+# |c| = 2.1e308 overflows although both parts of c are finite
+HUGE_C_J = {"d": 1, "A": [[[1.0, 0.0]]], "b": [[0.0, 0.0]], "c": [1.5e308, 1.5e308]}
+ADMISSIBILITY = ("error: conjugation parameters violate the admissibility conditions: "
+                 "matrix=0.000e+00, vector=0.000e+00, scalar=inf\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["validate-conjugation", "--in", "J.json"],
+    ["classify", "--in", "S.json", "--with-conjugation", "J.json"],
+    ["conjugate", "--in", "S.json", "--conj", "J.json"],
+    ["oracle-defect", "--in", "S.json", "--conj", "J.json", "--points", "pts.json"],
+], ids=["validate-conjugation", "classify", "conjugate", "oracle-defect"])
+def test_cli_conjugation_whose_c_modulus_overflows(tmp_path, capsys, argv):
+    # the scalar residual is inf: validate-conjugation writes it as null
+    # with the verdict false, and the others refuse J by its residuals
+    (tmp_path / "J.json").write_text(json.dumps(HUGE_C_J))
+    (tmp_path / "S.json").write_text(json.dumps(S1.to_json()))
+    (tmp_path / "pts.json").write_text(json.dumps({"points": [[[0.1, 0]], [[0.3, 0]]]}))
+    code = run([str(tmp_path / a) if a.endswith(".json") else a for a in argv])
+    out = capsys.readouterr()
+    if argv[0] == "validate-conjugation":
+        assert code == 1 and out.err == ""
+        doc = json.loads(out.out)
+        assert doc["verdict"] == "false" and doc["residuals"]["scalar"] is None
+    else:
+        assert code == 2 and out.out == "" and out.err == ADMISSIBILITY
+
+
+@pytest.mark.filterwarnings("error")
+def test_cross_check_refuses_a_theta_whose_modulus_overflows():
+    S = fw.WcSymbol(1.5e308 + 1.5e308j, [0.0], [[0.5]], [0.0])
+    with pytest.raises(fw.PreconditionError, match=r"^truncation tail bound inf is not below "):
+        fw.cross_check(S, [0.1], 4)
+
+
 # a real-symmetric symbol whose Hermitian Q has the eigenvalue 2e308
 HUGE_Q_SYMBOL = {"theta": [1, 0], "ell": [[0, 0], [0, 0]], "q": [[0, 0], [0, 0]],
                  "Q": [[[1e308, 0], [1e308, 0]], [[1e308, 0], [1e308, 0]]]}

@@ -324,6 +324,18 @@ def test_continuity_defect_at_large_w():
         continuity_defect(P, [40.0], 0.5)  # e^{800} (e^{0.05} - 1)
 
 
+@pytest.mark.parametrize("P, w, want", [
+    (SemigroupParams([[0.0]], [0.0], [0.0], 400.0), [0.0], math.expm1(400.0)),
+    (SemigroupParams([[0.0]], [0.0], [0.0], 400.0), [20.0], math.exp(600.0)),
+    (SemigroupParams([[0.0]], [0.0], [30.0], 0.0), [0.0], math.exp(450.0)),
+], ids=["theta-e400", "theta-e400-w20", "ell-30"])
+def test_continuity_defect_past_the_e_w2_shift(P, w, want):
+    # |a|^2 e^{|u|^2} is e^800 or more, which overflows with e^{|w|^2}
+    # factored out; the defect itself is a double: e^400 - 1,
+    # e^200 (e^400 - 1) and sqrt(e^900 - 1)
+    assert abs(continuity_defect(P, w, 1.0) - want) <= 1e-13 * want
+
+
 def test_continuity_defect_matches_unscaled_formula():
     rng = np.random.default_rng(82)
     for d in (1, 2, 3):

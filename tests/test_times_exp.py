@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import ref_times_exp
+from helpers import ref_sum_times_exp, ref_times_exp
 
 from fockwc import ConjugationParams, WcSymbol, conjugate_by_J, linalg
 from fockwc.conjugation import apply_to_kernel
@@ -188,3 +188,59 @@ def test_conjugating_by_a_subnormal_c_squared_keeps_every_digit():
     # |c|^2 = e^-729 is subnormal, and J C J of the identity is the identity
     J = ConjugationParams([[-1.0]], [27.0], math.exp(-364.5))
     assert abs(conjugate_by_J(_IDENTITY, J).theta - 1.0) <= 1e-12
+
+
+def _assert_inner_is_exact(F, G, draw=None):
+    """inner(F, G), inner(G, F) and F(x) for G = K_x within 1e-14 of the
+    exact sum of c_i conj(d_j) e^{E_ij}, relative, or 2 subnormal steps
+    below the least normal double; a value past the largest double is the
+    named ValueError.  Halved where |want| may pass the largest double."""
+    E = np.conj(F.points) @ G.points.T
+    want = ref_sum_times_exp([((c, np.conj(d)), E[i, j]) for i, c in enumerate(F.coeffs)
+                              for j, d in enumerate(G.coeffs)])
+    calls = [(lambda: inner(F, G), want), (lambda: inner(G, F), want.conjugate())]
+    if G.coeffs.tolist() == [1.0]:
+        calls.append((lambda: F(G.points[0]), want))
+    for call, want in calls:
+        if not cmath.isfinite(want):
+            with pytest.raises(ValueError, match=r"^inner product is not finite$"):
+                call()
+        elif abs(want / 2) < _TINY / 2:
+            assert abs(call() - want) <= 2 * 2.0 ** -1074, draw
+        else:
+            assert abs(call() / 2 - want / 2) <= 1e-14 * abs(want / 2), draw
+
+
+@pytest.mark.parametrize("F, G", [
+    (KernelCombo(1, [1e-300, 1e300], [[0.0], [-800.0]]), KernelCombo(1, [1.0], [[1.0]])),
+    (KernelCombo(1, [1e-300], [[-100.0]]), KernelCombo(1, [1e200], [[1.0]])),
+    (KernelCombo(1, [1e300], [[-720.0]]), KernelCombo(1, [1.0], [[1.0]])),
+    (KernelCombo(1, [1e300], [[-1000.0]]), KernelCombo(1, [1.0], [[1.0]])),
+], ids=["tiny-beside-far", "tiny-times-huge", "near-the-normal-edge", "far-below"])
+def test_inner_at_the_edges_is_the_exact_sum(F, G):
+    # the fold path writes each term v 2^p and sums at the largest p; a
+    # plain sum would lose the tiny term beside an underflowing e^-800 and
+    # give 0 for 1e-300 e^-100 1e200, and a k log 2 added to an exponent
+    # as one double would miss the last digits
+    _assert_inner_is_exact(F, G)
+
+
+def test_inner_of_two_cancelling_overflowing_terms_is_zero():
+    # 1e308 e^30 overflows, and the two terms' folds cancel exactly; the
+    # reference's phase of -1e308, pi rounded, cannot show that
+    F, x = KernelCombo(1, [1e308, -1e308], [[30.0], [30.0]]), [1.0]
+    G = KernelCombo(1, [1.0], [x])
+    assert inner(F, G) == inner(G, F) == F(x) == 0.0
+
+
+def test_inner_against_the_exact_reference():
+    # 1 to 3 terms per side, coefficients of modulus 10^U(-320, 308) with a
+    # random phase, Re E in [-1500, 1500]; |Im E| <= 4, as the reference's
+    # phase is a double, whose rounding at |Im E| = 1500 alone is 1e-13
+    rng = np.random.default_rng(3406)
+    for _ in range(2000):
+        F, G = (KernelCombo(2, [cmath.rect(10.0 ** rng.uniform(-320, 308), rng.uniform(-math.pi, math.pi))
+                                for _ in range(m)],
+                            rng.uniform(-27.3, 27.3, (m, 2)) + 1j * rng.uniform(-0.035, 0.035, (m, 2)))
+                for m in rng.integers(1, 4, 2).tolist())
+        _assert_inner_is_exact(F, G, (F.coeffs, F.points, G.coeffs, G.points))
